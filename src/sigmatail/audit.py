@@ -10,6 +10,7 @@ small probabilities.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,74 +32,139 @@ MIN_WINDOW = 20
 _SIDES = ("loss", "both")
 
 
-@dataclass(frozen=True)
-class Series:
-    """Date-ordered observations of a single daily quantity."""
+# lines parsed per block: bounds the loader's working set on large files
+_BLOCK_ROWS = 1 << 16
 
-    observations: tuple[tuple[date, float], ...]
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# the range of datetime.date, which flagged days are reported as
+_FIRST_DAY = np.datetime64(date.min, "D")
+_LAST_DAY = np.datetime64(date.max, "D")
+
+
+@dataclass(frozen=True, eq=False)
+class Series:
+    """Date-ordered observations of a single daily quantity, held as two
+    read-only columns: ``dates`` (datetime64[D], strictly increasing) and
+    ``values`` (finite float64).  Both are copied and validated once, here."""
+
+    dates: np.ndarray
+    values: np.ndarray
     source_label: str = ""
 
     def __post_init__(self):
-        prev = None
-        for i, (d, v) in enumerate(self.observations):
-            if not isinstance(d, date):
-                raise DomainError(f"observation {i}: date expected, got {type(d).__name__}")
-            if not math.isfinite(v):
-                raise DomainError(f"observation {i} ({d.isoformat()}): non-finite value")
-            if prev is not None and d <= prev:
-                raise DomainError(
-                    f"observation {i} ({d.isoformat()}): dates must be strictly increasing"
-                )
-            prev = d
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.observations], dtype=np.float64)
-
-    def dates(self) -> list[date]:
-        return [d for d, _ in self.observations]
+        dates = np.array(self.dates)
+        if dates.dtype != np.dtype("datetime64[D]"):
+            raise DomainError(f"dates must be datetime64[D], got {dates.dtype}")
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise DomainError(f"values must be real numbers, got {values.dtype}")
+        values = values.astype(np.float64)
+        if dates.ndim != 1 or dates.shape != values.shape:
+            raise DomainError("dates and values must be 1-D and of equal length")
+        finite = np.isfinite(values)
+        in_order = (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)  # also False for NaT
+        in_order[1:] &= dates[1:] > dates[:-1]
+        bad = np.flatnonzero(~(finite & in_order))
+        if bad.size:
+            i = int(bad[0])
+            what = ("non-finite value" if not finite[i]
+                    else f"dates must be strictly increasing, within {_FIRST_DAY}..{_LAST_DAY}")
+            raise DomainError(f"observation {i} ({dates[i]}): {what}")
+        dates.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.values.size
 
 
 def load_series(path) -> Series:
     """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
 
-    Errors name the offending row (1-based, header is row 1)."""
-    rows: list[tuple[date, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        if [c.strip().lower() for c in header] != ["date", "value"]:
+    A UTF-8 byte-order mark is skipped.  Errors name the first offending row
+    (1-based, header is row 1).  The file is read in blocks of lines; a
+    block of plain ``date,value`` lines is parsed in bulk, and any other
+    block (quoted fields, blank lines, a bad row) row by row with ``csv``,
+    which gives the same result or the same error."""
+    day_blocks, value_blocks = [], []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header = fh.readline()
+        if not header:
+            raise DomainError(f"{path}: empty file")
+        if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
             raise DomainError(f"{path}: row 1: header must be 'date,value'")
-        prev: date | None = None
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
-            try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
-            if not math.isfinite(v):
-                raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
-            if prev is not None and d <= prev:
-                raise DomainError(
-                    f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
-                )
-            rows.append((d, v))
-            prev = d
-    if not rows:
+        first_row, last_day = 2, 0  # day ordinals start at 1
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            days, values = (_parse_block(lines, last_day)
+                            or _parse_rows(path, lines, first_row, last_day))
+            if days.size:
+                day_blocks.append(days)
+                value_blocks.append(values)
+                last_day = int(days[-1])
+            first_row += len(lines)
+    if not day_blocks:
         raise DomainError(f"{path}: no data rows")
-    return Series(tuple(rows), source_label=str(path))
+    days = np.concatenate(day_blocks) - _EPOCH_ORDINAL
+    return Series(days.view("datetime64[D]"), np.concatenate(value_blocks), source_label=str(path))
+
+
+def _parse_block(lines: list[str], last_day: int):
+    """(day ordinals, values) of a block whose lines are all plain
+    ``date,value`` rows that pass every check, dates after ``last_day``;
+    None for any other block."""
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode(), np.uint8)
+    n = len(lines)
+    # exactly one comma on every line, so the cells pair up as rows; a quote,
+    # padding around a date or a blank line makes a cell fail to parse
+    if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",\n" * n:
+        return None
+    cells = text.replace("\n", ",").split(",")
+    try:
+        days = np.fromiter(map(date.toordinal, map(date.fromisoformat, cells[0::2])), np.int64, n)
+        values = np.fromiter(map(float, cells[1::2]), np.float64, n)
+    except ValueError:
+        return None
+    if not (np.all(np.isfinite(values)) and np.all(np.diff(days, prepend=last_day) > 0)):
+        return None
+    return days, values
+
+
+def _parse_rows(path, lines: list[str], first_row: int, last_day: int):
+    """The block of ``lines`` read row by row: blank rows are skipped and
+    the first bad row raises.  A record may not span lines."""
+    days, values = [], []
+    # a record still open after the block's last line takes this extra line,
+    # so it shows as spanning two lines
+    reader = csv.reader(itertools.chain(lines, ["\n"] if lines[-1].endswith("\n") else []))
+    for rownum, row in zip(range(first_row, first_row + len(lines)), reader):
+        if reader.line_num != rownum - first_row + 1:
+            raise DomainError(f"{path}: row {rownum}: line break inside a quoted field")
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
+        try:
+            d = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
+        try:
+            v = float(row[1])
+        except ValueError:
+            raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
+        if not math.isfinite(v):
+            raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
+        if d.toordinal() <= last_day:
+            raise DomainError(
+                f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
+            )
+        last_day = d.toordinal()
+        days.append(last_day)
+        values.append(v)
+    return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -121,7 +187,7 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
     so day t never sees itself or the future.  Days with no complete
     history, or a zero stdev, are unscored (with a warning for the latter).
     """
-    x = series.values()
+    x = series.values
     n = x.size
     sample_mean = float(np.mean(x)) if n else math.nan
     sample_stdev = float(np.std(x, ddof=1)) if n > 1 else math.nan
@@ -163,7 +229,7 @@ class FlaggedDay(NamedTuple):
 
 def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
     """(value - mean) / stdev per day; NaN where unscored."""
-    x = series.values()
+    x = series.values
     out = np.full(x.size, np.nan)
     m = moments.scored
     out[m] = (x[m] - moments.mean[m]) / moments.stdev[m]
@@ -177,19 +243,18 @@ def flag_events(series: Series, moments: Moments, threshold_k: float,
     side="loss" flags score <= -k (losses only); side="both" flags
     |score| >= k.  Scores are reported rounded to 4 decimals.
     """
-    if not (isinstance(threshold_k, (int, float)) and float(threshold_k) > 0.0):
+    if (isinstance(threshold_k, bool) or not isinstance(threshold_k, (int, float))
+            or not float(threshold_k) > 0.0):
         raise DomainError("threshold_k must be positive")
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
     k = float(threshold_k)
     scores = sigma_scores(series, moments)
-    dates = series.dates()
-    flagged = []
-    for i in np.flatnonzero(moments.scored):
-        s = scores[i]
-        hit = (s <= -k) if side == "loss" else (abs(s) >= k)
-        if hit:
-            flagged.append(FlaggedDay(dates[i], round(float(s), 4)))
+    # unscored days have NaN scores, which compare False
+    hit = (scores <= -k) if side == "loss" else (np.abs(scores) >= k)
+    i = np.flatnonzero(hit)
+    flagged = [FlaggedDay(d, round(s, 4))
+               for d, s in zip(series.dates[i].tolist(), scores[i].tolist())]
     return flagged, len(flagged)
 
 

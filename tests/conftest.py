@@ -30,9 +30,8 @@ def binom_tail_oracle(n, m, p, dps=50):
 
 
 def make_series(values, start=date(1985, 1, 1), label="synthetic") -> Series:
-    d0 = start
-    obs = tuple((d0 + timedelta(days=i), float(v)) for i, v in enumerate(values))
-    return Series(obs, source_label=label)
+    dates = np.datetime64(start, "D") + np.arange(len(values))
+    return Series(dates, values, source_label=label)
 
 
 @pytest.fixture

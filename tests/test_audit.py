@@ -1,11 +1,12 @@
+import csv
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import binom_tail_oracle, make_series
-from sigmatail import _kernels, gauss
+from sigmatail import _kernels, audit, gauss
 from sigmatail.audit import (
     AuditReport, FlaggedDay, Moments, Series, binomial_tail_at_least,
     build_report, estimate_moments, flag_events, load_series, report_as_dict,
@@ -23,7 +24,7 @@ class TestLoadSeries:
         path.write_text("date,value\n2007-08-09,-0.031\n2007-08-10,0.012\n")
         s = load_series(path)
         assert len(s) == 2
-        assert s.observations[0] == (date(2007, 8, 9), -0.031)
+        assert (s.dates[0], s.values[0]) == (np.datetime64("2007-08-09"), -0.031)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -81,19 +82,148 @@ class TestLoadSeries:
         with pytest.raises(DomainError, match="row 2"):
             load_series(path)
 
+    def test_utf8_bom_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,value\n2007-08-09,1\n")
+        s = load_series(path)
+        assert len(s) == 1 and s.values[0] == 1.0
+
+
+def reference_load_series(path):
+    """The row-by-row ``csv`` loader that the block-wise one replaced, kept
+    as the oracle: (dates, values) as lists, or a DomainError."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DomainError(f"{path}: empty file") from None
+        if [c.strip().lower() for c in header] != ["date", "value"]:
+            raise DomainError(f"{path}: row 1: header must be 'date,value'")
+        prev = None
+        for rownum, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
+            try:
+                d = date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
+            try:
+                v = float(row[1])
+            except ValueError:
+                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
+            if not math.isfinite(v):
+                raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
+            if prev is not None and d <= prev:
+                raise DomainError(
+                    f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
+                )
+            rows.append((d, v))
+            prev = d
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    return [d for d, _ in rows], [v for _, v in rows]
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _columns(path):
+    s = load_series(path)
+    return s.dates.tolist(), s.values.tolist()
+
+
+def _daily_rows(n, start=date(2000, 1, 1)):
+    return [f"{(start + timedelta(days=i)).isoformat()},{i * 0.25 - 3}" for i in range(n)]
+
+
+# a list holds the data rows after a "date,value" header, a string the whole
+# file; a tuple puts its row first in the second block of daily rows ("dup"
+# repeats the date before it)
+DIFFERENTIAL_FILES = {
+    "quoted fields": ['"2007-08-09","1.5"', '2007-08-10,"-2"', '"2007-08-11",3'],
+    "quote inside a field": ['2007-08-09,1"', '2007-08-10,2'],
+    "text after a closing quote": ['"2007-08-09"x,1'],
+    "CRLF": "date,value\r\n2007-08-09,1\r\n2007-08-10,2\r\n",
+    "lone CR": "date,value\r2007-08-09,1\r2007-08-10,2\r",
+    "quoted and padded header": '"Date", value \n2007-08-09,1\n',
+    "whitespace-only lines": ["2007-08-09,1", "   ", "\t", "", "2007-08-10,2", " "],
+    "padded fields": [" 2007-08-09 , 1.5 ", "\t2007-08-10\t,\t2\t", "\u00a02007-08-11,3\u00a0"],
+    "basic and week dates": ["20070811,1", "2007-W32-7,2"],
+    "underscore and plus": ["2007-08-09,1_000", "2007-08-10,+1e-3"],
+    "February 30": ["2007-02-30,1"],
+    "year zero": ["0000-01-01,1"],
+    "nan": ["2007-08-09,nan"],
+    "inf": ["2007-08-09,1", "2007-08-10,inf"],
+    "overflow": ["2007-08-09,1e400"],
+    "three fields": ["2007-08-09,1", "2007-08-10,2,3"],
+    "one field then three": ["2007-08-09", "20070810,20070811,3"],
+    "empty fields": [","],
+    "two bad rows": ["2007-08-09,1", "2007-08-10,oops", "2007-13-01,2"],
+    "order before a parse error": ["2007-08-09,1", "2007-08-08,2", "2007-08-10,oops"],
+    "no final newline": "date,value\n2007-08-09,1\n2007-08-10,2",
+    "blank line at the end": ["2007-08-09,1", "2007-08-10,2", ""],
+    "bad value on the first row of block 2": ("2099-01-01,oops",),
+    "date backwards across blocks": ("1999-12-31,1",),
+    "duplicate date across blocks": ("dup",),
+}
+
+
+def _differential_text(name, block_rows):
+    spec = DIFFERENTIAL_FILES[name]
+    if isinstance(spec, tuple):
+        rows = _daily_rows(block_rows + 3)
+        rows[block_rows] = rows[block_rows - 1] if spec[0] == "dup" else spec[0]
+        return "date,value\n" + "\n".join(rows) + "\n"
+    if isinstance(spec, str):
+        return spec
+    return "date,value\n" + "\n".join(spec) + "\n"
+
+
+class TestLoaderDifferential:
+    """load_series against the row-by-row reference: equal (dates, values)
+    or an equal DomainError message, at several block sizes."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, audit._BLOCK_ROWS])
+    @pytest.mark.parametrize("name", list(DIFFERENTIAL_FILES))
+    def test_same_outcome_as_reference(self, tmp_path, monkeypatch, name, block_rows):
+        monkeypatch.setattr(audit, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "s.csv"
+        path.write_bytes(_differential_text(name, block_rows).encode("utf-8"))
+        want = _outcome(reference_load_series, path)
+        assert _outcome(_columns, path) == want
+
+    @pytest.mark.parametrize("block_rows", [1, 2, audit._BLOCK_ROWS])
+    def test_line_break_in_quoted_field_names_its_row(self, tmp_path, monkeypatch, block_rows):
+        # the reference reads the record across both lines; load_series
+        # refuses it, and names the row where it starts
+        monkeypatch.setattr(audit, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "s.csv"
+        path.write_text('date,value\n2007-08-09,1\n"2007-08-10\n",2\n2007-08-11,3\n')
+        assert len(reference_load_series(path)[0]) == 3
+        with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field"):
+            load_series(path)
+
 
 class TestSeriesValidation:
     def test_rejects_non_dates(self):
         with pytest.raises(DomainError):
-            Series((("2007-08-09", 1.0),))
+            Series(np.array(["2007-08-09"]), np.array([1.0]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            Series(((date(2007, 8, 9), math.inf),))
+            Series(np.array(["2007-08-09"], "datetime64[D]"), np.array([math.inf]))
 
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
-            Series(((date(2007, 8, 10), 1.0), (date(2007, 8, 9), 2.0)))
+            Series(np.array(["2007-08-10", "2007-08-09"], "datetime64[D]"), np.array([1.0, 2.0]))
 
 
 class TestEstimateMoments:
@@ -125,7 +255,7 @@ class TestEstimateMoments:
         rng = np.random.default_rng(5)
         s = make_series(rng.normal(0.5, 2.0, 200))
         m = estimate_moments(s, window=50)
-        x = s.values()
+        x = s.values
         assert not m.scored[:50].any()
         assert m.scored[50:].all()
         # day 120 sees exactly days 70..119
@@ -211,8 +341,7 @@ class TestFlagEvents:
         s = make_series(vals)
         m = estimate_moments(s)
         flagged, _ = flag_events(s, m, 20.0, "loss")
-        dates = s.dates()
-        assert [f.date for f in flagged] == [dates[5000]]
+        assert [f.date for f in flagged] == [s.dates[5000].tolist()]
         # estimator contamination shrinks the score below the raw -25
         assert -25.0 < flagged[0].sigma_score <= -20.0
 
@@ -239,6 +368,13 @@ class TestFlagEvents:
             flag_events(s, m, 0.0, "loss")
         with pytest.raises(DomainError):
             flag_events(s, m, 2.0, "upper")
+
+    def test_bool_threshold_rejected(self, standard_normal_10k):
+        s = make_series(standard_normal_10k[:100])
+        with pytest.raises(DomainError):
+            flag_events(s, estimate_moments(s), True, "loss")
+        with pytest.raises(DomainError):
+            build_report(s, threshold_k=True)
 
 
 class TestBinomialTail:
