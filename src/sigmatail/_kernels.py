@@ -1,99 +1,34 @@
-"""Rolling-moment kernels for series auditing.
+"""Rolling-moment kernel for series auditing.
 
-The one genuinely hot loop in this package: trailing-window mean/stdev over
-a daily series.  Two interchangeable implementations:
-
-* numba @njit sliding-window loop with periodic exact refresh (O(n));
-* pure-numpy cumulative-sum version.
-
-Selection via the SIGMATAIL_KERNEL environment variable: "auto" (default,
-numba when importable), "numba" (require it), or "numpy".
+Trailing-window mean and stdev over a daily series, from windowed sums.
+The series is cut into blocks of ``window`` values, so the window starting
+at ``s = B*window + r`` is the suffix of block B from r plus the prefix of
+block B+1 before r.  Each sum adds at most ``window`` terms, and its
+rounding error grows with the window, not with the length of the series
+(the blocked form of Chan, Golub & LeVeque, 1983, on updating variance).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import DomainError
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
-
-
-ENV_VAR = "SIGMATAIL_KERNEL"
-
-
-@njit(cache=True)
-def _rolling_numba(x, w):
-    n = x.shape[0]
-    means = np.full(n, np.nan)
-    stds = np.full(n, np.nan)
-    if n <= w:
-        return means, stds
-    s = 0.0
-    s2 = 0.0
-    for j in range(w):
-        s += x[j]
-        s2 += x[j] * x[j]
-    steps = 0
-    for t in range(w, n):
-        if steps == w:
-            # refresh the sliding sums so rounding drift cannot accumulate
-            s = 0.0
-            s2 = 0.0
-            for j in range(t - w, t):
-                s += x[j]
-                s2 += x[j] * x[j]
-            steps = 0
-        m = s / w
-        v = (s2 - w * m * m) / (w - 1)
-        if v < 0.0:
-            v = 0.0
-        means[t] = m
-        stds[t] = np.sqrt(v)
-        s += x[t] - x[t - w]
-        s2 += x[t] * x[t] - x[t - w] * x[t - w]
-        steps += 1
-    return means, stds
-
-
-def _rolling_numpy(x, w):
-    n = x.size
-    means = np.full(n, np.nan)
-    stds = np.full(n, np.nan)
-    if n <= w:
-        return means, stds
-    c1 = np.concatenate(([0.0], np.cumsum(x)))
-    c2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    s = c1[w:n] - c1[: n - w]
-    s2 = c2[w:n] - c2[: n - w]
-    m = s / w
-    v = (s2 - w * m * m) / (w - 1)
-    means[w:] = m
-    stds[w:] = np.sqrt(np.maximum(v, 0.0))
-    return means, stds
-
 
 def kernel_choice() -> str:
-    """Resolve the active kernel name from the environment."""
-    mode = os.environ.get(ENV_VAR, "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise DomainError(f"{ENV_VAR} must be auto, numba or numpy; got {mode!r}")
-    if mode == "numba" and not HAVE_NUMBA:
-        raise DomainError(f"{ENV_VAR}=numba but numba is not installed")
-    if mode == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return mode
+    """Name of the rolling-moment kernel."""
+    return "numpy-blocked"
+
+
+def _window_sums(blocks: np.ndarray) -> np.ndarray:
+    """Sums of every ``w``-wide window that starts in one of the first
+    ``nb`` rows of ``blocks`` (shape ``(nb + 1, w)``), flattened."""
+    sums = np.empty((blocks.shape[0] - 1, blocks.shape[1]))
+    # suffix sums as a reversed cumsum: a block total minus a prefix would
+    # cancel large values that sit in the same block but outside the window
+    np.cumsum(blocks[:-1, ::-1], axis=1, out=sums[:, ::-1])
+    sums[:, 1:] += np.cumsum(blocks[1:, :-1], axis=1)
+    return sums.ravel()
 
 
 def rolling_moments(values, window: int):
@@ -101,11 +36,23 @@ def rolling_moments(values, window: int):
 
     Position t describes values[t-window:t]; the first ``window`` entries
     are NaN.  Callers should center ``values`` first if the data has a large
-    offset (both kernels track raw sums of squares)."""
+    offset (the kernel sums raw squares)."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     w = int(window)
     if w < 2:
         raise DomainError("window must be at least 2")
-    if kernel_choice() == "numba":
-        return _rolling_numba(x, w)
-    return _rolling_numpy(x, w)
+    n = x.size
+    means = np.full(n, np.nan)
+    stds = np.full(n, np.nan)
+    if n <= w:
+        return means, stds
+    nb = -(-(n - w) // w)  # blocks in which a window starts
+    blocks = np.zeros((nb + 1) * w)
+    blocks[:n] = x
+    blocks = blocks.reshape(nb + 1, w)
+    m = means[w:]
+    np.divide(_window_sums(blocks)[: n - w], w, out=m)
+    blocks *= blocks
+    v = (_window_sums(blocks)[: n - w] - w * m * m) / (w - 1)
+    stds[w:] = np.sqrt(np.maximum(v, 0.0))
+    return means, stds

@@ -82,27 +82,30 @@ class Series:
 def load_series(path) -> Series:
     """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
 
-    A UTF-8 byte-order mark is skipped.  Errors name the first offending row
-    (1-based, header is row 1).  The file is read in blocks of lines; a
-    block of plain ``date,value`` lines is parsed in bulk, and any other
-    block (quoted fields, blank lines, a bad row) row by row with ``csv``,
-    which gives the same result or the same error."""
+    The file must be UTF-8; a byte-order mark is skipped.  Errors name the
+    first offending row (1-based, header is row 1).  The file is read in
+    blocks of lines; a block of plain ``date,value`` lines is parsed in bulk,
+    and any other block (quoted fields, blank lines, a bad row) row by row
+    with ``csv``, which gives the same result or the same error."""
     day_blocks, value_blocks = [], []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline()
-        if not header:
-            raise DomainError(f"{path}: empty file")
-        if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
-            raise DomainError(f"{path}: row 1: header must be 'date,value'")
-        first_row, last_day = 2, 0  # day ordinals start at 1
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            days, values = (_parse_block(lines, last_day)
-                            or _parse_rows(path, lines, first_row, last_day))
-            if days.size:
-                day_blocks.append(days)
-                value_blocks.append(values)
-                last_day = int(days[-1])
-            first_row += len(lines)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            header = fh.readline()
+            if not header:
+                raise DomainError(f"{path}: empty file")
+            if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
+                raise DomainError(f"{path}: row 1: header must be 'date,value'")
+            first_row, last_day = 2, 0  # day ordinals start at 1
+            while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+                days, values = (_parse_block(lines, last_day)
+                                or _parse_rows(path, lines, first_row, last_day))
+                if days.size:
+                    day_blocks.append(days)
+                    value_blocks.append(values)
+                    last_day = int(days[-1])
+                first_row += len(lines)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
         raise DomainError(f"{path}: no data rows")
     days = np.concatenate(day_blocks) - _EPOCH_ORDINAL

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import audit as audit_mod
 from . import gauss, scales, studentt
@@ -24,14 +23,6 @@ from .magnitude import Magnitude, format_sci, parse, pow_int
 ENV_DAYS_PER_YEAR = "SIGMATAIL_DAYS_PER_YEAR"
 
 _FORMATS = ("text", "csv", "md", "json")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    days_per_year: int = 250
-    sig_digits: int = 4
-    mode: str = "auto"
-    output_format: str = "text"
 
 
 def _env_days_per_year() -> int:
@@ -70,9 +61,8 @@ def _fmt_k(k: float) -> str:
 # subcommand handlers
 
 def _cmd_prob(args, out, err) -> int:
-    cfg = CliConfig(days_per_year=args.dpy, sig_digits=args.digits, mode=args.mode)
-    r = gauss.gauss_tail(args.k, mode=cfg.mode, days_per_year=cfg.days_per_year)
-    d = cfg.sig_digits
+    r = gauss.gauss_tail(args.k, mode=args.mode, days_per_year=args.dpy)
+    d = args.digits
     print(f"k: {_fmt_k(r.k)}", file=out)
     print(f"probability: {format_sci(r.probability, d)}", file=out)
     print(f"percent: {format_sci(r.percent, d)} %", file=out)
@@ -81,30 +71,27 @@ def _cmd_prob(args, out, err) -> int:
     dg = r.diagnostics
     print(
         f"diagnostics: path={dg.path} y={dg.y!r} terms_used={dg.terms_used} "
-        f"truncation_bound={dg.truncation_bound:.3e} "
-        f"cancellation_safe={str(dg.cancellation_safe).lower()}",
+        f"truncation_bound={dg.truncation_bound:.3e}",
         file=err,
     )
     return 0
 
 
-def _table_rows(ks, cfg: CliConfig):
+def _table_rows(ks, days_per_year: int):
     rows = []
     for k in ks:
-        r = gauss.gauss_tail(k, mode="auto", days_per_year=cfg.days_per_year)
+        r = gauss.gauss_tail(k, mode="auto", days_per_year=days_per_year)
         rows.append((k, r.percent, r.occurrence_days, r.occurrence_years))
     return rows
 
 
 def _cmd_table(args, out, err) -> int:
-    cfg = CliConfig(days_per_year=args.dpy, sig_digits=args.digits,
-                    output_format=args.format)
-    rows = _table_rows(_parse_ks(args.ks), cfg)
-    d = cfg.sig_digits
+    rows = _table_rows(_parse_ks(args.ks), args.dpy)
+    d = args.digits
     header = ("k", "percent", "occurrence_days", "occurrence_years")
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
-            "days_per_year": cfg.days_per_year,
+            "days_per_year": args.dpy,
             "rows": [
                 {
                     "k": k,
@@ -121,11 +108,11 @@ def _cmd_table(args, out, err) -> int:
         (_fmt_k(k), format_sci(pct, d), format_sci(days, d), format_sci(years, d))
         for k, pct, days, years in rows
     ]
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         print(",".join(header), file=out)
         for row in text_rows:
             print(",".join(row), file=out)
-    elif cfg.output_format == "md":
+    elif args.format == "md":
         print("| " + " | ".join(header) + " |", file=out)
         print("|" + "|".join(" --- " for _ in header) + "|", file=out)
         for row in text_rows:

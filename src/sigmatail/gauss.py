@@ -79,7 +79,6 @@ class SeriesDiagnostics:
     y: float                  # k / sqrt(2), the erfc argument
     terms_used: int
     truncation_bound: float   # |first omitted term| / |partial sum| (0 on the exact path)
-    cancellation_safe: bool
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,7 @@ def gauss_tail_exact(k: float, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> Ta
         )
     p = 0.5 * math.erfc(k / SQRT2)
     diag = SeriesDiagnostics(
-        path="exact", y=k / SQRT2, terms_used=0,
-        truncation_bound=0.0, cancellation_safe=True,
+        path="exact", y=k / SQRT2, terms_used=0, truncation_bound=0.0,
     )
     return _make_result(k, from_real(p), days_per_year, diag)
 
@@ -261,8 +259,7 @@ def gauss_tail_asymptotic(k: float, days_per_year: int = DEFAULT_DAYS_PER_YEAR) 
         )
     log10_p, terms_used, bound, _ = _log10_tail_series(k)
     diag = SeriesDiagnostics(
-        path="asymptotic", y=k / SQRT2, terms_used=terms_used,
-        truncation_bound=bound, cancellation_safe=True,
+        path="asymptotic", y=k / SQRT2, terms_used=terms_used, truncation_bound=bound,
     )
     return _make_result(k, Magnitude(log10_p), days_per_year, diag)
 
@@ -283,8 +280,7 @@ def gauss_tail_paper_appendix(k: float, days_per_year: int = DEFAULT_DAYS_PER_YE
         )
     log10_p, bound = _log10_tail_fixed4(k)
     diag = SeriesDiagnostics(
-        path="paper_appendix", y=k / SQRT2, terms_used=4,
-        truncation_bound=bound, cancellation_safe=True,
+        path="paper_appendix", y=k / SQRT2, terms_used=4, truncation_bound=bound,
     )
     return _make_result(k, Magnitude(log10_p), days_per_year, diag)
 

@@ -88,6 +88,12 @@ class TestLoadSeries:
         s = load_series(path)
         assert len(s) == 1 and s.values[0] == 1.0
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"date,value\n2007-08-09,1\n2007-08-10,caf\xe9\n")
+        with pytest.raises(DomainError, match="not UTF-8 text"):
+            load_series(path)
+
 
 def reference_load_series(path):
     """The row-by-row ``csv`` loader that the block-wise one replaced, kept
@@ -286,39 +292,60 @@ class TestEstimateMoments:
         assert not m.scored.any()
 
 
+def two_pass_oracle(x, w):
+    """Trailing-window mean and stdev by the two-pass formula over
+    ``sliding_window_view``, in chunks of windows to bound memory."""
+    means = np.full(x.size, np.nan)
+    stds = np.full(x.size, np.nan)
+    for a in range(0, x.size - w, 4096):
+        b = min(a + 4096, x.size - w)
+        win = np.lib.stride_tricks.sliding_window_view(x[a:b + w - 1], w)
+        means[a + w:b + w] = win.mean(axis=1)
+        stds[a + w:b + w] = win.std(axis=1, ddof=1)
+    return means, stds
+
+
 class TestKernels:
-    def test_numba_numpy_agree_with_bruteforce(self, monkeypatch):
+    def test_agrees_with_bruteforce(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0.01, 0.5, 300)
         w = 20
-        results = {}
-        for mode in ("numpy", "numba") if _kernels.HAVE_NUMBA else ("numpy",):
-            monkeypatch.setenv(_kernels.ENV_VAR, mode)
-            assert _kernels.kernel_choice() == mode
-            results[mode] = _kernels.rolling_moments(x, w)
+        means, stds = _kernels.rolling_moments(x, w)
         for t in [w, 57, 150, 299]:
-            want_mean = x[t - w:t].mean()
-            want_std = x[t - w:t].std(ddof=1)
-            for mode, (means, stds) in results.items():
-                assert means[t] == pytest.approx(want_mean, abs=1e-12), mode
-                assert stds[t] == pytest.approx(want_std, abs=1e-12), mode
+            assert means[t] == pytest.approx(x[t - w:t].mean(), abs=1e-12)
+            assert stds[t] == pytest.approx(x[t - w:t].std(ddof=1), abs=1e-12)
 
-    def test_env_flag_validation(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_VAR, "gpu")
-        with pytest.raises(DomainError):
-            _kernels.kernel_choice()
+    @pytest.mark.parametrize("w", [20, 250])
+    def test_regime_shift_matches_two_pass_oracle(self, w):
+        # volatility 1e-4 -> 1 -> 1e-4: a running sum would carry the loud
+        # regime's rounding into every quiet window after it
+        rng = np.random.default_rng(w)
+        n = 12_007
+        vol = np.full(n, 1e-4)
+        vol[n // 3:2 * n // 3] = 1.0
+        x = rng.normal(0.0, 1.0, n) * vol
+        x -= x[:w].mean()
+        means, stds = _kernels.rolling_moments(x, w)
+        want_means, want_stds = two_pass_oracle(x, w)
+        assert np.all(np.isnan(means[:w])) and np.all(np.isnan(stds[:w]))
+        assert np.max(np.abs(stds[w:] / want_stds[w:] - 1.0)) <= 1e-12
+        assert np.max(np.abs(means[w:] - want_means[w:])) <= 1e-15
 
-    def test_numba_refresh_matches_numpy_on_long_series(self, monkeypatch):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(12)
-        x = rng.normal(0.0, 1.0, 3000)
-        monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-        mb, sb = _kernels.rolling_moments(x, 250)
-        monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-        mn, sn = _kernels.rolling_moments(x, 250)
-        assert np.nanmax(np.abs(mb - mn)) < 1e-12
-        assert np.nanmax(np.abs(sb - sn)) < 1e-12
+    @pytest.mark.parametrize("w", [2, 3, 20])
+    @pytest.mark.parametrize("blocks, rest", [(1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (3, 7)])
+    def test_edge_sizes_match_bruteforce(self, w, blocks, rest):
+        n = blocks * w + rest
+        x = np.random.default_rng(n).normal(0.3, 2.0, n)
+        means, stds = _kernels.rolling_moments(x, w)
+        assert means.shape == stds.shape == (n,)
+        assert np.all(np.isnan(means[:w])) and np.all(np.isnan(stds[:w]))
+        for t in range(w, n):
+            assert means[t] == pytest.approx(x[t - w:t].mean(), abs=1e-12)
+            assert stds[t] == pytest.approx(x[t - w:t].std(ddof=1), abs=1e-12)
+
+    def test_window_below_two_rejected(self):
+        with pytest.raises(DomainError, match="at least 2"):
+            _kernels.rolling_moments(np.ones(5), 1)
 
 
 class TestFlagEvents:

@@ -312,6 +312,13 @@ class TestAudit:
         code, _, err = run_cli(["audit", str(tmp_path / "absent.csv")])
         assert code == 3
 
+    def test_not_utf8_exit_3(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,value\n1985-01-01,1.0\n1985-01-02,caf\xe9\n")
+        code, out, err = run_cli(["audit", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
     def test_byte_stability(self, fixture_csv):
         a = run_cli(["audit", str(fixture_csv), "--threshold", "2"])
         b = run_cli(["audit", str(fixture_csv), "--threshold", "2"])
