@@ -3,19 +3,8 @@ range where fixed-precision evaluation underflows, with conversions to
 expected-occurrence periods, streak odds, human-scale comparisons, a
 Student-t fat-tail counterfactual, and a daily-series audit pipeline."""
 
-from .audit import (
-    AuditReport,
-    FlaggedDay,
-    Moments,
-    Series,
-    binomial_tail_at_least,
-    build_report,
-    estimate_moments,
-    flag_events,
-    load_series,
-    report_as_dict,
-    sigma_scores,
-)
+import importlib
+
 from .errors import DomainError, ParseError
 from .gauss import (
     SeriesDiagnostics,
@@ -58,9 +47,30 @@ from .scales import (
     lottery_equivalent,
     order_gap,
 )
-from .studentt import TDistSpec, gap_vs_gaussian, student_t_tail
 
 __version__ = "0.1.0"
+
+# audit and studentt import numpy and scipy, which cost far more than the rest
+# of the package; their names load on first access (PEP 562), so commands
+# that never touch them never pay for them.
+_LAZY = {
+    **dict.fromkeys(
+        ("AuditReport", "FlaggedDay", "Moments", "Series", "binomial_tail_at_least",
+         "build_report", "estimate_moments", "flag_events", "load_series",
+         "report_as_dict", "sigma_scores"),
+        "audit",
+    ),
+    **dict.fromkeys(("TDistSpec", "gap_vs_gaussian", "student_t_tail"), "studentt"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AuditReport", "FlaggedDay", "Moments", "Series", "binomial_tail_at_least",

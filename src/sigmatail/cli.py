@@ -15,8 +15,7 @@ import json
 import os
 import sys
 
-from . import audit as audit_mod
-from . import gauss, scales, studentt
+from . import gauss, scales
 from .errors import DomainError, ParseError
 from .magnitude import Magnitude, format_sci, parse, pow_int
 
@@ -191,6 +190,8 @@ def _cmd_context(args, out, err) -> int:
 
 
 def _cmd_ttail(args, out, err) -> int:
+    from . import studentt  # loads scipy: only this command pays for it
+
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
@@ -202,6 +203,8 @@ def _cmd_ttail(args, out, err) -> int:
 
 
 def _cmd_audit(args, out, err) -> int:
+    from . import audit as audit_mod  # loads numpy and scipy: only this command pays for them
+
     series = audit_mod.load_series(args.file)
     report = audit_mod.build_report(
         series, threshold_k=args.threshold, window=args.window, side=args.side,
@@ -319,7 +322,8 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--side", choices=audit_mod._SIDES, default="loss")
+    # audit._SIDES, spelled out so building the parser does not import numpy
+    p.add_argument("--side", choices=("loss", "both"), default="loss")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_digits(p)
     _add_dpy(p, default_dpy)

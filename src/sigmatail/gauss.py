@@ -48,6 +48,7 @@ REL_TERM_FLOOR = 1e-18
 _HALF_LOG10E_HI = 0.2171472409516259
 _HALF_LOG10E_LO = 5.491598251083825e-18
 _HALF_LOG10_2PI = 0.3990899341790575
+_LN10 = math.log(10.0)
 
 _MODES = ("exact", "asymptotic", "paper_appendix", "auto")
 
@@ -191,7 +192,7 @@ def _log10_tail_erfc(k: float) -> float:
 
 
 def _log10_tail_auto(k: float) -> float:
-    """Fast scalar log10 p used by the bisection inverse."""
+    """Fast scalar log10 p used by the inverse, ``sigma_for_period``."""
     if k <= AUTO_SWITCH_K:
         return _log10_tail_erfc(k)
     return _log10_tail_series(k)[0]
@@ -348,7 +349,9 @@ def streak_probability(p: Magnitude, m: int) -> Magnitude:
 
 def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> float:
     """Invert the occurrence mapping: the k whose expected-occurrence period
-    equals ``years``.  Bisection on k in [0, 1e6] to |dk| <= 1e-9."""
+    equals ``years``.  Newton on log10 p(k) inside a shrinking [lo, hi]
+    bracket on [0, 1e6], bisecting whenever a step leaves it; |dk| <= 1e-9.
+    Typically 4-5 tail evaluations."""
     days_per_year = _validate_dpy(days_per_year)
     if not isinstance(years, Magnitude):
         raise DomainError("years must be a Magnitude")
@@ -363,10 +366,22 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     if target < _log10_tail_auto(MAX_K):
         raise DomainError(f"period beyond the supported range (k <= {MAX_K:g})")
     lo, hi = 0.0, MAX_K
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _log10_tail_auto(mid) > target:
-            lo = mid
+    # start from the asymptote's leading term, above the root: log10 p is
+    # concave, so the Newton steps then approach the root from above
+    k = min(math.sqrt(max(-2.0 * target * _LN10, 1.0)), MAX_K)
+    while True:
+        log10_p = _log10_tail_auto(k)
+        if log10_p > target:
+            lo = k
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = k
+        # d log10 p / dk = -phi(k) / (p ln 10), with phi the normal density
+        log10_phi = -k * k * _HALF_LOG10E_HI - _HALF_LOG10_2PI
+        step = (log10_p - target) * _LN10 / 10.0 ** (log10_phi - log10_p)
+        if abs(step) <= 2.5e-10:
+            return k + step
+        k += step
+        if not lo < k < hi:
+            k = 0.5 * (lo + hi)
+        if hi - lo <= 1e-9:
+            return k

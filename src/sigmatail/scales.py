@@ -121,23 +121,28 @@ def compare_to_references(years: Magnitude,
 
 def load_reference_scales(path) -> tuple[ReferenceScale, ...]:
     """Read user-supplied scales: one ``name,kind,low,high`` record per line,
-    blank lines and #-comments ignored, bounds in Magnitude text form."""
+    blank lines and #-comments ignored, bounds in Magnitude text form.  A
+    leading byte-order mark is skipped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     scales = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise DomainError(
-                    f"{path}: line {lineno}: expected name,kind,low,high"
-                )
-            name, kind, low_text, high_text = parts
-            try:
-                scales.append(ReferenceScale(name, kind, parse(low_text), parse(high_text)))
-            except (DomainError, ValueError) as exc:
-                raise DomainError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise DomainError(
+                f"{path}: line {lineno}: expected name,kind,low,high"
+            )
+        name, kind, low_text, high_text = parts
+        try:
+            scales.append(ReferenceScale(name, kind, parse(low_text), parse(high_text)))
+        except (DomainError, ValueError) as exc:
+            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
     if not scales:
         raise DomainError(f"{path}: no reference scales found")
     return tuple(scales)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -211,6 +212,15 @@ class TestInvert:
     def test_unattainable(self):
         assert run_cli(["invert", "--years", "0.001"])[0] == 3
 
+    @pytest.mark.parametrize("years, expected", [
+        ("100000", "k ≈ 5.3671\n"),
+        ("1e5", "k ≈ 5.3671\n"),
+        ("1.309e+135", "k ≈ 25.0000\n"),
+        ("1e300000", "k ≈ 1175.3919\n"),
+    ])
+    def test_golden_bytes(self, years, expected):
+        assert run_cli(["invert", "--years", years]) == (0, expected, "")
+
 
 class TestContext:
     def test_25_sigma_story(self):
@@ -235,6 +245,20 @@ class TestContext:
         assert code == 0
         assert "vs dog years (years)" in out
         assert "Ice Age" not in out
+
+    def test_refs_not_utf8_exit_3(self, tmp_path):
+        refs = tmp_path / "refs.csv"
+        refs.write_bytes(b"caf\xe9 years,years,7,7\n")
+        code, out, err = run_cli(["context", "3", "--refs", str(refs)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
+    def test_refs_bom_before_comment(self, tmp_path):
+        refs = tmp_path / "refs.csv"
+        refs.write_bytes("\ufeff# dog years\ndog years,years,7,7\n".encode("utf-8"))
+        code, out, err = run_cli(["context", "3", "--refs", str(refs)])
+        assert code == 0 and err == ""
+        assert "vs dog years (years)" in out
 
 
 class TestTtail:
@@ -318,6 +342,14 @@ class TestAudit:
         code, out, err = run_cli(["audit", str(path)])
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "not UTF-8 text" in err
+
+    def test_side_choices_match_audit(self):
+        from sigmatail import audit
+
+        parser = cli.build_parser(250)
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        side = next(a for a in subparsers.choices["audit"]._actions if a.dest == "side")
+        assert tuple(side.choices) == audit._SIDES
 
     def test_byte_stability(self, fixture_csv):
         a = run_cli(["audit", str(fixture_csv), "--threshold", "2"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp
 
 from conftest import tail_log10_oracle
 from sigmatail import gauss
@@ -13,7 +14,7 @@ from sigmatail.gauss import (
     gauss_tail_paper_appendix, occurrence_days, occurrence_years,
     sigma_for_period, streak_probability,
 )
-from sigmatail.magnitude import ONE, ZERO, from_real, parse
+from sigmatail.magnitude import ONE, ZERO, Magnitude, from_real, parse
 
 # Upper-tail probabilities frozen from a 60-digit erfc evaluation.
 TAIL_CHECKPOINTS = {
@@ -307,6 +308,33 @@ class TestSigmaForPeriod:
     def test_zero_years(self):
         with pytest.raises(DomainError):
             sigma_for_period(ZERO, 250)
+
+    # k near 0, both sides of AUTO_SWITCH_K = 9, and up to k near MAX_K = 1e6
+    SWEEP_K = [0.0, 1e-6, 1e-3, 0.05, 0.5, 1.0, 2.5, 5.367, 8.5, 8.999999, 9.0,
+               9.000001, 9.5, 12.0, 25.0, 40.0, 100.0, 1e3, 1e4, 1e5, 999_990.0,
+               1e6 - 1e-3]
+
+    @pytest.mark.parametrize("k", SWEEP_K)
+    def test_matches_mpmath_root(self, k):
+        years = Magnitude(-float(tail_log10_oracle(k)) - math.log10(250))
+        target = -(years.log10_value + math.log10(250))  # what the inverse solves for
+        with mp.workdps(50):
+            root = mp.findroot(lambda x: tail_log10_oracle(x) - target, mp.mpf(k)) if k else mp.mpf(0)
+            assert abs(mp.mpf(sigma_for_period(years, 250)) - root) <= 1e-9 + 1e-15 * abs(root)
+
+    @pytest.mark.parametrize("log10_years", [math.log10(2 / 250), -2.09, -2.0, 0.0, 0.5, 1.0,
+                                             2.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5, 5e5,
+                                             1e8, 2e11])
+    def test_few_tail_evaluations(self, monkeypatch, log10_years):
+        tail, calls = gauss._log10_tail_auto, []
+
+        def counted(k):
+            calls.append(k)
+            return tail(k)
+
+        monkeypatch.setattr(gauss, "_log10_tail_auto", counted)
+        sigma_for_period(Magnitude(log10_years), 250)
+        assert len(calls) <= 8  # the range check plus the Newton steps
 
 
 class TestOrderProperties:

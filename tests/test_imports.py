@@ -1,0 +1,77 @@
+"""numpy and scipy load only for the commands that use them.
+
+Each check runs in a fresh interpreter, since this test process has
+imported numpy already."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sigmatail
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# prints the numpy and scipy modules loaded by the code that precedes it
+_REPORT = ("import sys; print(sorted(m for m in sys.modules "
+           "if m.partition('.')[0] in ('numpy', 'scipy')))")
+
+
+def _heavy_modules_after(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{_REPORT}"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _cli(argv) -> str:
+    return f"import io; from sigmatail import cli; assert cli.main({argv!r}, io.StringIO(), io.StringIO()) == 0"
+
+
+def test_import_cli_loads_no_numpy_or_scipy():
+    assert _heavy_modules_after("import sigmatail.cli") == "[]"
+
+
+def test_gauss_tail_loads_no_numpy_or_scipy():
+    assert _heavy_modules_after("import sigmatail; sigmatail.gauss_tail(25)") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "2"],
+    ["table", "--ks", "3,6,25", "--format", "json"],
+    ["occurrence", "25"],
+    ["streak", "5", "--days", "3"],
+    ["lottery", "--p", "1e-100"],
+    ["invert", "--years", "1e5"],
+    ["context", "25", "--baseline-years", "1e5"],
+], ids=lambda argv: argv[0])
+def test_math_only_commands_load_no_numpy_or_scipy(argv):
+    assert _heavy_modules_after(_cli(argv)) == "[]"
+
+
+def test_ttail_loads_scipy():
+    # the control: the probe does see scipy once a command needs it
+    assert "scipy.special" in _heavy_modules_after(_cli(["ttail", "25", "--nu", "3"]))
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from sigmatail import *", namespace)
+    for name in sigmatail.__all__:
+        assert namespace[name] is getattr(sigmatail, name)
+
+
+def test_lazy_names_come_from_their_modules():
+    from sigmatail import audit, studentt
+
+    assert sigmatail.Series is audit.Series
+    assert sigmatail.student_t_tail is studentt.student_t_tail
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sigmatail.no_such_name  # noqa: B018

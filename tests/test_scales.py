@@ -177,3 +177,16 @@ class TestReferenceScaleFile:
         path.write_text("# nothing here\n", encoding="utf-8")
         with pytest.raises(DomainError):
             load_reference_scales(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "refs.csv"
+        path.write_bytes(b"caf\xe9 years,years,1,2\n")
+        with pytest.raises(DomainError, match="not UTF-8 text"):
+            load_reference_scales(path)
+
+    def test_bom_before_comment(self, tmp_path):
+        path = tmp_path / "refs.csv"
+        path.write_text("\ufeff# exported by a spreadsheet\nmy epoch,years,1.5e3,2.5e3\n",
+                        encoding="utf-8")
+        scales = load_reference_scales(path)
+        assert len(scales) == 1 and scales[0].name == "my epoch"
