@@ -50,9 +50,9 @@ from .scales import (
 
 __version__ = "0.1.0"
 
-# audit and studentt import numpy and scipy, which cost far more than the rest
-# of the package; their names load on first access (PEP 562), so commands
-# that never touch them never pay for them.
+# audit imports numpy, which costs far more than the rest of the package, and
+# only ttail uses studentt; their names load on first access (PEP 562), so
+# commands that never touch them never pay for them.
 _LAZY = {
     **dict.fromkeys(
         ("AuditReport", "FlaggedDay", "Moments", "Series", "binomial_tail_at_least",

@@ -3,7 +3,7 @@
 Pipeline: load a date,value CSV, estimate per-day moments (full-sample or
 strictly trailing rolling window), sigma-score each day, flag threshold
 exceedances, and quantify how improbable the observed count is under the
-Gaussian model via a log10-domain binomial tail that survives astronomically
+Gaussian model via a log-domain binomial tail that survives astronomically
 small probabilities.
 """
 
@@ -18,7 +18,6 @@ from datetime import date
 from typing import NamedTuple
 
 import numpy as np
-import scipy.special as sp
 
 from . import _kernels, gauss, magnitude
 from .errors import DomainError
@@ -262,27 +261,80 @@ def flag_events(series: Series, moments: Moments, threshold_k: float,
 
 
 # ---------------------------------------------------------------------------
-# binomial tail in the log10 domain
+# binomial tail in the log domain (Loader 2000, "Fast and Accurate Computation
+# of Binomial Probabilities")
 
-_CHUNK = 4096
+# counts up to here are exact as floats
+_MAX_N = 2 ** 53
+
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n / e)^n), to double precision
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
 
 
-def _log_binom_terms(n: int, j: np.ndarray, ln_p: float, ln_q: float) -> np.ndarray:
-    return (sp.gammaln(n + 1.0) - sp.gammaln(j + 1.0) - sp.gammaln(n - j + 1.0)
-            + j * ln_p + (n - j) * ln_q)
+def _stirlerr(n: float) -> float:
+    """The table up to 15, then the Stirling series, whose first omitted
+    term is below 1.2e-16 from n = 16."""
+    if n <= 15.0:
+        return _STIRLERR[int(n)]
+    r2 = 1.0 / (n * n)
+    return (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / n
+
+
+def _bd0(x: float, mean: float, ln_mean: float) -> float:
+    """x ln(x / mean) + mean - x for x >= 1: by a series near the mean, where
+    the two sides cancel, and from ln(mean) where the mean underflows."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        s = (x - mean) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 3.0
+        while True:
+            term *= v
+            s_next = s + term / j
+            if s_next == s:
+                return s
+            s = s_next
+            j += 2.0
+    if mean < 1e-300:
+        return x * (math.log(x) - ln_mean) + mean - x
+    return x * math.log(x / mean) + mean - x
+
+
+def _ln_binom_pmf(j: float, n: float, p: float, q: float, ln_p: float, ln_q: float) -> float:
+    """ln P(X = j) for X ~ Binomial(n, p) by Loader's saddle-point form, with
+    no cancellation between log-gammas of ~n ln n."""
+    if j == 0.0:
+        return n * ln_q
+    if j == n:
+        return n * ln_p
+    ln_n = math.log(n)
+    return (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+            - _bd0(j, n * p, ln_n + ln_p) - _bd0(n - j, n * q, ln_n + ln_q)
+            - _HALF_LN_2PI - 0.5 * math.log(j * ((n - j) / n)))
 
 
 def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
-    """P(X >= m) for X ~ Binomial(n, p), computed via log-gamma combinatorics
-    entirely in the log domain, so values like 1e-270 come out exact to
-    ~1e-12 relative instead of underflowing.
+    """P(X >= m) for X ~ Binomial(n, p), in the log domain, so values like
+    1e-270 or 1e-9000 come out to ~2e-11 relative instead of underflowing.
 
-    ``p`` may be a Magnitude or a plain float in (0, 1).
+    One term comes from Loader's saddle-point form; the rest of the short
+    side follows by the ratio of neighbouring terms, outward from it, until a
+    term falls below 1e-17 of the sum: O(sqrt(n p q)) work, not O(m).
+    ``p`` may be a Magnitude or a plain float in (0, 1); n is at most 2^53.
     """
     if isinstance(n, bool) or isinstance(m, bool) or not isinstance(n, int) or not isinstance(m, int):
         raise DomainError("n and m must be integers")
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
+    if n > _MAX_N:
+        raise DomainError(f"n must be at most 2**53, got {n}")
     if not isinstance(p, Magnitude):
         p = from_real(p)
     if p.is_zero or p.log10_value >= 0.0:
@@ -291,33 +343,32 @@ def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
         return from_real(1.0)
 
     ln_p = p.log10_value * LN10
-    ln_q = math.log(-math.expm1(ln_p))  # ln(1 - p), safe for any tiny p
-    mean = n * math.exp(ln_p) if ln_p > -700 else 0.0
+    p_f = math.exp(ln_p)
+    q_f = -math.expm1(ln_p)
+    ln_q = math.log1p(-p_f) if p_f < 0.5 else math.log(q_f)
+    n_f = float(n)
 
-    if m <= mean:
-        # head is the short side: P(X >= m) = 1 - P(X <= m-1)
-        ln_head = -math.inf
-        for start in range(0, m, _CHUNK):
-            j = np.arange(start, min(start + _CHUNK, m), dtype=np.float64)
-            ln_head = np.logaddexp(ln_head, sp.logsumexp(_log_binom_terms(n, j, ln_p, ln_q)))
-        value = -math.expm1(ln_head)
-        if value > 0.0:
-            return from_real(value)
-        # head rounded up to 1 (cannot happen for m <= mean in exact math);
-        # fall through to the direct sum, which is valid for any m
+    if m <= n_f * p_f:
+        # the head is the short side: P(X >= m) = 1 - P(X <= m-1), summed
+        # downward from m-1, where the terms shrink
+        j, term, total = m - 1, 1.0, 1.0
+        ratio = q_f / p_f
+        while j > 0 and term >= 1e-17 * total:
+            term *= j / (n_f - j + 1.0) * ratio
+            total += term
+            j -= 1
+        head = math.exp(_ln_binom_pmf(float(m - 1), n_f, p_f, q_f, ln_p, ln_q)) * total
+        return from_real(1.0 - head)
 
-    # direct sum; terms decrease monotonically beyond the mode
-    ln_s = -math.inf
-    j0 = m
-    while j0 <= n:
-        j = np.arange(j0, min(j0 + _CHUNK, n + 1), dtype=np.float64)
-        terms = _log_binom_terms(n, j, ln_p, ln_q)
-        ln_s = np.logaddexp(ln_s, sp.logsumexp(terms))
-        if terms[-1] < ln_s - 45.0:  # remaining mass is below 1e-19 relative
-            break
-        j0 += _CHUNK
-    log10_s = min(float(ln_s) / LN10, 0.0)
-    return Magnitude(log10_s)
+    # the terms shrink from m upward, since m > n p
+    j, term, total = m, 1.0, 1.0
+    ratio = p_f / q_f
+    while j < n and term >= 1e-17 * total:
+        term *= (n_f - j) / (j + 1.0) * ratio
+        total += term
+        j += 1
+    ln_tail = _ln_binom_pmf(float(m), n_f, p_f, q_f, ln_p, ln_q) + math.log(total)
+    return Magnitude(min(ln_tail / LN10, 0.0))
 
 
 @dataclass(frozen=True)

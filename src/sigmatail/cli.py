@@ -190,7 +190,7 @@ def _cmd_context(args, out, err) -> int:
 
 
 def _cmd_ttail(args, out, err) -> int:
-    from . import studentt  # loads scipy: only this command pays for it
+    from . import studentt  # only this command uses it
 
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
@@ -203,7 +203,7 @@ def _cmd_ttail(args, out, err) -> int:
 
 
 def _cmd_audit(args, out, err) -> int:
-    from . import audit as audit_mod  # loads numpy and scipy: only this command pays for them
+    from . import audit as audit_mod  # loads numpy: only this command pays for it
 
     series = audit_mod.load_series(args.file)
     report = audit_mod.build_report(

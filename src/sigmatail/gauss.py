@@ -198,6 +198,10 @@ def _log10_tail_auto(k: float) -> float:
     return _log10_tail_series(k)[0]
 
 
+# log10 p at the top of the range: the longest period sigma_for_period inverts
+_LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)
+
+
 def _validate_k(k) -> float:
     if not (isinstance(k, (int, float)) and math.isfinite(float(k))):
         raise DomainError("k must be a finite real")
@@ -363,7 +367,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
         raise DomainError(
             "period shorter than the k=0 occurrence period (2 trading days)"
         )
-    if target < _log10_tail_auto(MAX_K):
+    if target < _LOG10_TAIL_AT_MAX_K:
         raise DomainError(f"period beyond the supported range (k <= {MAX_K:g})")
     lo, hi = 0.0, MAX_K
     # start from the asymptote's leading term, above the root: log10 p is

@@ -1,5 +1,6 @@
 """Shared fixtures: high-precision oracles and synthetic series builders."""
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -27,6 +28,66 @@ def binom_tail_oracle(n, m, p, dps=50):
         if m == 0:
             return mp.mpf(1)
         return mp.betainc(mp.mpf(m), mp.mpf(n - m + 1), 0, mp.mpf(p), regularized=True)
+
+
+def t_tail_ln_oracle(k, nu, standardized=True):
+    """ln of the Student-t upper tail at k.  For nu <= 1e4 the regularized
+    incomplete beta at 50 digits; above that, where mpmath's betainc does not
+    converge, quadrature of the density's tail taken relative to its value at
+    t, with the working precision raised by log10(nu) digits."""
+    with mp.workdps(50 + max(0, int(math.log10(nu)))):
+        nu_ = mp.mpf(nu)
+        t = mp.mpf(k) * (mp.sqrt(nu_ / (nu_ - 2)) if standardized else 1)
+        if t == 0:
+            return mp.log(mp.mpf(0.5))
+        if nu <= 1e4:
+            return mp.log(mp.betainc(nu_ / 2, mp.mpf(0.5), 0, nu_ / (nu_ + t * t),
+                                     regularized=True) / 2)
+        w = nu_ + t * t
+        h = (nu_ + 1) / 2
+        ln_density_at_t = (mp.loggamma(h) - mp.loggamma(nu_ / 2) - mp.log(nu_ * mp.pi) / 2
+                           - h * mp.log1p(t * t / nu_))
+        # break points on the scale of the integrand's fall from u = 0
+        scale = min(w / (t * (nu_ + 1)), mp.sqrt(w / (nu_ + 1)))
+        points = [mp.mpf(0)] + [scale * mp.mpf(2) ** i for i in range(-2, 12)] + [mp.inf]
+        with mp.workdps(30):
+            rest = mp.quad(lambda u: mp.exp(-h * mp.log1p(u * (2 * t + u) / w)), points)
+        return ln_density_at_t + mp.log(rest)
+
+
+def binom_tail_ln_oracle(n, m, log10_p, dps=50):
+    """ln P(X >= m) for p = 10**log10_p: the short side summed term by term
+    from a 50-digit log-gamma start, to 1e-40 of the sum."""
+    with mp.workdps(dps):
+        p = mp.power(10, mp.mpf(log10_p))
+        q = 1 - p
+
+        def ln_term(j):
+            return (mp.loggamma(n + 1) - mp.loggamma(j + 1) - mp.loggamma(n - j + 1)
+                    + j * mp.log(p) + (n - j) * mp.log(q))
+
+        eps = mp.mpf(10) ** -40
+        head = m <= n * p
+        j = m - 1 if head else m
+        term = total = mp.mpf(1)
+        while (j > 0 if head else j < n) and term >= total * eps:
+            if head:
+                term *= j * q / ((n - j + 1) * p)
+                j -= 1
+            else:
+                term *= (n - j) * p / ((j + 1) * q)
+                j += 1
+            total += term
+        ln_side = ln_term(m - 1 if head else m) + mp.log(total)
+        return mp.log(-mp.expm1(ln_side)) if head else ln_side
+
+
+def assert_ln_close(got_ln, true_ln, what=""):
+    """1e-9 relative while |log10| < 3000; beyond that, where a double's
+    log10 carries the result, 1e-13 relative on the logarithm."""
+    err = abs(mp.mpf(got_ln) - true_ln)
+    tol = 1e-9 if abs(true_ln) < 3000 * math.log(10) else 1e-13 * abs(true_ln)
+    assert err <= tol, f"{what}: ln {got_ln!r}, true {mp.nstr(true_ln, 17)}, error {mp.nstr(err, 3)}"
 
 
 def make_series(values, start=date(1985, 1, 1), label="synthetic") -> Series:

@@ -1,11 +1,13 @@
 import csv
 import math
+import time
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from conftest import binom_tail_oracle, make_series
+from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
 from sigmatail import _kernels, audit, gauss
 from sigmatail.audit import (
     AuditReport, FlaggedDay, Moments, Series, binomial_tail_at_least,
@@ -13,9 +15,23 @@ from sigmatail.audit import (
     sigma_scores,
 )
 from sigmatail.errors import DomainError
-from sigmatail.magnitude import ONE, from_real, parse
+from sigmatail.magnitude import ONE, Magnitude, from_real, parse
 
 P6 = 9.865876450376981407009e-10  # Gaussian tail at k=6, frozen oracle
+
+
+def _binomial_sweep():
+    """(n, m, log10 p) on both branches: n up to 1e7 (and 1e10), p from near
+    1 down to 1e-300 and, as a Magnitude, 1e-400."""
+    cases = []
+    for n in (1, 10, 250, 10_000, 400_000, 1_000_000, 10_000_000):
+        for log10_p in (-1e-12, -0.01, -0.3, -2.0, -8.0, -40.0, -300.0, -400.0):
+            mean = n * 10.0 ** log10_p
+            above = {min(n, math.floor(mean * f) + d) for f in (1.0, 1.02, 1.5, 4.0) for d in (1, 2)}
+            below = {max(1, math.floor(mean * f)) for f in (0.3, 0.98, 1.0)} if mean >= 1 else set()
+            cases += [(n, m, log10_p) for m in sorted(above | below | {n})]
+    # a head whose terms need ln(1 - p) to full relative precision at p = 2e-10
+    return cases + [(10 ** 10, m, math.log10(2e-10)) for m in (1, 2, 3)]
 
 
 class TestLoadSeries:
@@ -431,13 +447,32 @@ class TestBinomialTail:
             want = float(binom_tail_oracle(n, m, p))
             assert got == pytest.approx(want, rel=1e-9), (n, m, p)
 
-    def test_million_trials_against_scipy(self):
-        import scipy.special as sp
+    def test_million_trials_against_mpmath(self):
         for n, m, p in [(1_000_000, 500500, 0.5), (1_000_000, 1100, 1e-3),
                         (1_000_000, 900, 1e-3)]:
             got = binomial_tail_at_least(n, m, from_real(p)).as_float()
-            want = float(sp.bdtrc(m - 1, n, p))
+            want = float(mp.exp(binom_tail_ln_oracle(n, m, math.log10(p))))
             assert got == pytest.approx(want, rel=1e-9), (n, m, p)
+
+    @pytest.mark.parametrize(("n", "m", "log10_p"), _binomial_sweep())
+    def test_sweep_against_mpmath(self, n, m, log10_p):
+        got = binomial_tail_at_least(n, m, Magnitude(log10_p)).log10_value * math.log(10.0)
+        assert_ln_close(got, binom_tail_ln_oracle(n, m, log10_p), f"({n}, {m}, 1e{log10_p})")
+
+    def test_trillion_trials_near_the_mean(self):
+        # ~2.4e5 terms (8 standard deviations) on each branch, not the 1e9
+        # of the whole head; the two tails differ by P(X = m)
+        n, p = 10 ** 12, 1e-3
+        m = round(n * p)
+        start = time.perf_counter()
+        at_least_m = binomial_tail_at_least(n, m, from_real(p)).as_float()
+        above_m = binomial_tail_at_least(n, m + 1, from_real(p)).as_float()
+        assert time.perf_counter() - start < 2.0
+        with mp.workdps(40):
+            pmf = float(mp.exp(mp.loggamma(n + 1) - mp.loggamma(m + 1) - mp.loggamma(n - m + 1)
+                               + m * mp.log(mp.mpf(p)) + (n - m) * mp.log1p(-mp.mpf(p))))
+        assert at_least_m - above_m == pytest.approx(pmf, rel=1e-5)
+        assert 0.5 < at_least_m < 0.51
 
     def test_monotone_in_m(self):
         vals = [binomial_tail_at_least(100, m, from_real(0.1)).log10_value
@@ -460,6 +495,8 @@ class TestBinomialTail:
             binomial_tail_at_least(10, 2, from_real(1.0))
         with pytest.raises(DomainError):
             binomial_tail_at_least(10.0, 2, from_real(0.5))
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            binomial_tail_at_least(2 ** 53 + 1, 2, from_real(0.5))
 
 
 class TestBuildReport:

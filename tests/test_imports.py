@@ -1,4 +1,4 @@
-"""numpy and scipy load only for the commands that use them.
+"""numpy loads only for the command that uses it, and scipy for none.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already."""
@@ -48,14 +48,33 @@ def test_gauss_tail_loads_no_numpy_or_scipy():
     ["lottery", "--p", "1e-100"],
     ["invert", "--years", "1e5"],
     ["context", "25", "--baseline-years", "1e5"],
+    ["ttail", "25", "--nu", "3"],
 ], ids=lambda argv: argv[0])
 def test_math_only_commands_load_no_numpy_or_scipy(argv):
     assert _heavy_modules_after(_cli(argv)) == "[]"
 
 
-def test_ttail_loads_scipy():
-    # the control: the probe does see scipy once a command needs it
-    assert "scipy.special" in _heavy_modules_after(_cli(["ttail", "25", "--nu", "3"]))
+def _audit_csv(tmp_path) -> str:
+    path = tmp_path / "s.csv"
+    rows = [f"2000-01-{d:02d},{(-1) ** d * 0.01 * d}" for d in range(1, 32)]
+    path.write_text("date,value\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_audit_loads_numpy(tmp_path):
+    # the control: the probe does see numpy once a command needs it
+    loaded = _heavy_modules_after(_cli(["audit", _audit_csv(tmp_path), "--threshold", "1"]))
+    assert "'numpy'" in loaded
+
+
+def test_no_command_loads_scipy(tmp_path):
+    commands = [["prob", "2"], ["table", "--ks", "3,25"], ["occurrence", "25"],
+                ["streak", "5", "--days", "3"], ["lottery", "--p", "1e-100"],
+                ["invert", "--years", "1e5"], ["context", "25"], ["ttail", "25", "--nu", "3"],
+                ["audit", _audit_csv(tmp_path), "--threshold", "1", "--format", "json"]]
+    loaded = _heavy_modules_after("\n".join(_cli(argv) for argv in commands))
+    assert "numpy" in loaded  # the audit ran
+    assert "scipy" not in loaded
 
 
 def test_every_exported_name_resolves():

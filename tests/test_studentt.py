@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from mpmath import mp
 
-from sigmatail import gauss
+from conftest import assert_ln_close, t_tail_ln_oracle, tail_log10_oracle
+from sigmatail import gauss, studentt
 from sigmatail.errors import DomainError
-from sigmatail.studentt import TDistSpec, _log10_tail_power_law, gap_vs_gaussian, student_t_tail
+from sigmatail.studentt import TDistSpec, gap_vs_gaussian, student_t_tail
 
 # Frozen from a 40-digit quadrature of the t density (raw) and the
 # incomplete-beta identity (standardized); see also the k=0 symmetry cases.
@@ -16,6 +18,20 @@ RAW_T_TAILS = {
 STD_T3_AT_2 = 0.0202596631769170085
 STD_T3_AT_25_LOG10 = -4.867894375
 CAUCHY_AT_1 = 0.25
+
+# the degrees of freedom TDistSpec accepts, from just above 2 to 1e300
+SWEEP_NUS = [2.0 + 1e-9, 2.5, 3.0, 5.0, 30.0, 200.0, 1e3, 1e4, 1e6, 1e300]
+SWEEP_KS = [0.0, 1e-6, 0.1, 0.5, 1.0, 1.5, 1.7, 1.75, 2.0, 3.0, 6.0, 10.0, 25.0, 40.0,
+            60.0, 100.0, 300.0, 1e3, 3e3, 1e4]
+LN10 = math.log(10.0)
+
+
+def _log10_power_law(t: float, nu: float) -> float:
+    """log10 of the leading term of the raw t tail, C(nu) t^-nu, which it
+    reaches to ~nu^2 / t^2 relative."""
+    ln_c = (math.lgamma(0.5 * (nu + 1.0)) + (0.5 * nu - 1.0) * math.log(nu)
+            - math.lgamma(0.5 * nu) - 0.5 * math.log(math.pi))
+    return ln_c / LN10 - nu * math.log10(t)
 
 
 class TestSpecValidation:
@@ -32,6 +48,20 @@ class TestSpecValidation:
     def test_finite(self):
         with pytest.raises(DomainError):
             TDistSpec(nu=math.inf)
+
+    def test_nu_at_most_1e300(self):
+        TDistSpec(nu=1e300)
+        for standardized in (True, False):
+            with pytest.raises(DomainError, match="at most"):
+                TDistSpec(nu=1.0001e300, standardized=standardized)
+
+
+class TestLnBetaHalf:
+    @pytest.mark.parametrize("a", [1e-300, 0.25, 1.0, 19.999, 20.0, 50.0, 1e3, 1e8, 5e299])
+    def test_against_mpmath(self, a):
+        with mp.workdps(50 + max(0, int(math.log10(a)))):
+            want = mp.log(mp.beta(mp.mpf(a), mp.mpf(0.5)))
+        assert abs(studentt._ln_beta_half(a) - want) <= 2e-14 * max(1.0, abs(float(want)))
 
 
 class TestStudentTTail:
@@ -58,23 +88,37 @@ class TestStudentTTail:
         # a Magnitude with log10 around -5
         assert -6.0 < got.log10_value < -4.0
 
-    def test_deep_tail_switches_to_power_law(self):
-        # nu=3 at k=1e120: the beta path has underflowed long before
+    def test_deep_tail_follows_power_law(self):
         got = student_t_tail(1e120, TDistSpec(3.0, standardized=False))
-        assert got.log10_value == pytest.approx(_log10_tail_power_law(1e120, 3.0), abs=1e-9)
+        assert got.log10_value == pytest.approx(_log10_power_law(1e120, 3.0), abs=1e-9)
 
     @pytest.mark.parametrize("nu", [3.0, 4.0, 5.0, 10.0])
     def test_asymptote_agrees_with_beta_in_switch_window(self, nu):
-        # pick t where the beta path still lives (~1e-250) and compare the
-        # two independent formulations
+        # near 1e-250, where an incomplete beta evaluated as a double nears
+        # its floor, the tail and the power-law asymptote agree
         target = -250.0
-        log10_t = (target - _log10_tail_power_law(1.0, nu)) / -nu
-        t = 10.0 ** log10_t
-        import scipy.special as sp
-        q_beta = 0.5 * float(sp.betainc(0.5 * nu, 0.5, nu / (nu + t * t)))
-        assert q_beta > 0.0
-        dlog10 = abs(math.log10(q_beta) - _log10_tail_power_law(t, nu))
-        assert dlog10 * math.log(10.0) <= 1e-8
+        t = 10.0 ** ((target - _log10_power_law(1.0, nu)) / -nu)
+        got = student_t_tail(t, TDistSpec(nu, standardized=False)).log10_value
+        assert abs(got - _log10_power_law(t, nu)) * LN10 <= 1e-8
+
+    @pytest.mark.parametrize("nu", SWEEP_NUS)
+    def test_sweep_against_mpmath(self, nu):
+        for k in SWEEP_KS:
+            got = student_t_tail(k, TDistSpec(nu)).log10_value * LN10
+            assert_ln_close(got, t_tail_ln_oracle(k, nu), f"nu={nu!r}, k={k!r}")
+
+    @pytest.mark.parametrize("nu", [1e-3, 0.5, 1.0, 2.0, 7.0, 1e5])
+    def test_raw_sweep_against_mpmath(self, nu):
+        for k in [1e-3, 0.5, 1.0, 1.5, 3.0, 30.0, 1e3, 1e6]:
+            got = student_t_tail(k, TDistSpec(nu, standardized=False)).log10_value * LN10
+            assert_ln_close(got, t_tail_ln_oracle(k, nu, standardized=False), f"nu={nu!r}, k={k!r}")
+
+    def test_far_beyond_double_range(self):
+        # nu = 1000 at k = 60 lies at 1e-333.565; k = 1e200 squares past the float range
+        got = student_t_tail(60.0, TDistSpec(1000.0)).log10_value
+        assert got == pytest.approx(float(t_tail_ln_oracle(60.0, 1000.0)) / LN10, abs=1e-10)
+        got = student_t_tail(1e200, TDistSpec(3.0, standardized=False)).log10_value
+        assert got == pytest.approx(_log10_power_law(1e200, 3.0), rel=1e-15)
 
     def test_monotone_in_nu(self):
         # fixed k >= 3: the tail thins toward the Gaussian as nu grows
@@ -113,6 +157,18 @@ class TestGapVsGaussian:
 
     def test_huge_nu_converges_to_gaussian(self):
         assert gap_vs_gaussian(25.0, TDistSpec(1e6)) <= 3
+
+    @pytest.mark.parametrize("k", [40.0, 60.0])
+    def test_gap_vanishes_as_nu_grows(self, k):
+        nus = [1e4, 1e6, 1e8, 1e300]
+        gaps = [gap_vs_gaussian(k, TDistSpec(nu)) for nu in nus]
+        want = [math.floor((t_tail_ln_oracle(k, nu) / LN10 - tail_log10_oracle(k)))
+                for nu in nus]
+        assert gaps == want
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] == 0
+        if k == 40.0:
+            assert gaps[1] == 0
 
     def test_nu4_at_10(self):
         # oracle: std t4 tail 7.25640853066e-5 vs Gaussian 7.61985e-24
