@@ -10,6 +10,7 @@ small probabilities.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import warnings
@@ -31,13 +32,60 @@ MIN_WINDOW = 20
 _SIDES = ("loss", "both")
 
 
-# lines parsed per block: bounds the loader's working set on large files
-_BLOCK_ROWS = 1 << 16
+# characters read per block: bounds the loader's working set on large files;
+# larger blocks parsed no faster and left more freed heap resident
+_BLOCK_CHARS = 1 << 18
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # the range of datetime.date, which flagged days are reported as
 _FIRST_DAY = np.datetime64(date.min, "D")
 _LAST_DAY = np.datetime64(date.max, "D")
+
+# The bulk parser reads the bytes of a block as little-endian 64-bit words,
+# 8 characters each, and works on all the words of a column at once.
+_BYTES = 0x0101010101010101  # times a byte value: that byte in all eight places
+_HIGH_BITS = np.uint64(0x80 * _BYTES)
+_LOW_BITS = np.uint64(0x7F * _BYTES)
+
+
+def _word(chars: bytes) -> np.uint64:
+    return np.uint64(int.from_bytes(chars, "little"))
+
+
+_DATE_ZEROS = _word(b"0000-00-")  # XOR leaves the digits 0..9 and the dashes 0
+_DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
+_DAY_ZEROS = _word(b"00,")
+_DAY_MAX = _word(b"\x09\x09\x00")
+# calendar tables, indexed by the four year digits and the two month digits
+_YEARS = np.arange(10000)
+_LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
+_DAYS_BEFORE_YEAR = ((_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100
+                     + (_YEARS - 1) // 400)
+_MONTH_DAYS = np.zeros(100, np.int64)
+_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_DAYS_BEFORE_MONTH = np.zeros(100, np.int64)
+_DAYS_BEFORE_MONTH[1:13] = np.cumsum(_MONTH_DAYS[:12])
+
+# value cells of up to this many characters, three words, are parsed in
+# bulk; longer ones go to float()
+_CELL_WIDTH = 24
+# for each of the three words of a cell, a mask of the bytes in column k and
+# after, for k = 0.._CELL_WIDTH
+_KEEP = [np.array([2 ** 64 - 256 ** min(max(k - 8 * j, 0), 8) for k in range(_CELL_WIDTH + 1)],
+                  np.uint64) for j in range(3)]
+# times a word with a 1 in the byte of a dot and 0 elsewhere, the top byte
+# is the number of cell columns after the dot, for each of the three words
+_COLUMNS_AFTER = [_word(bytes(range(8 * (2 - j), 8 * (3 - j)))) for j in range(3)]
+_POW10_U64 = np.array([10 ** f if f < 20 else 2 ** 64 - 1 for f in range(_CELL_WIDTH + 1)],
+                      np.uint64)  # capped above every 19-digit integer
+# Clinger's fast path needs a long double whose significand holds every
+# mantissa below 1e19 and every 10**f below 10**_CELL_WIDTH exactly: x87
+# extended (64 bits) or IEEE quad (113 bits), not double or double-double
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.cumprod(np.r_[1, np.full(_CELL_WIDTH - 1, 10)].astype(np.longdouble))
+_DIVISORS = np.concatenate([_POW10, -_POW10])  # 10**f at f, -10**f at _CELL_WIDTH + f
+# Veltkamp's factor, which splits a long double to 54 significant bits
+_SPLIT = np.longdouble(2.0 ** (np.finfo(np.longdouble).nmant + 1 - 54) + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +131,10 @@ def load_series(path) -> Series:
 
     The file must be UTF-8; a byte-order mark is skipped.  Errors name the
     first offending row (1-based, header is row 1).  The file is read in
-    blocks of lines; a block of plain ``date,value`` lines is parsed in bulk,
-    and any other block (quoted fields, blank lines, a bad row) row by row
-    with ``csv``, which gives the same result or the same error."""
+    blocks of whole lines; a block of plain ``YYYY-MM-DD,value`` lines is
+    parsed in bulk, and any other block (quoted fields, blank lines, a bad
+    row) row by row with ``csv``, which gives the same result or the same
+    error."""
     day_blocks, value_blocks = [], []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -95,14 +144,14 @@ def load_series(path) -> Series:
             if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
-            while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-                days, values = (_parse_block(lines, last_day)
-                                or _parse_rows(path, lines, first_row, last_day))
+            while text := fh.read(_BLOCK_CHARS) + fh.readline():
+                block = _parse_block(text, last_day)
+                days, values = block or _parse_rows(path, text, first_row, last_day)
                 if days.size:
                     day_blocks.append(days)
                     value_blocks.append(values)
                     last_day = int(days[-1])
-                first_row += len(lines)
+                first_row += days.size if block else text.count("\n")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
@@ -111,33 +160,134 @@ def load_series(path) -> Series:
     return Series(days.view("datetime64[D]"), np.concatenate(value_blocks), source_label=str(path))
 
 
-def _parse_block(lines: list[str], last_day: int):
-    """(day ordinals, values) of a block whose lines are all plain
-    ``date,value`` rows that pass every check, dates after ``last_day``;
-    None for any other block."""
-    text = "".join(lines)
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = np.frombuffer(text.encode(), np.uint8)
-    n = len(lines)
-    # exactly one comma on every line, so the cells pair up as rows; a quote,
-    # padding around a date or a blank line makes a cell fail to parse
-    if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",\n" * n:
+def _parse_block(text: str, last_day: int):
+    """(day ordinals, values) of a block of text whose lines are all plain
+    ``YYYY-MM-DD,value`` rows that pass every check, dates after
+    ``last_day``; None for any other block.
+
+    The block is parsed as one array of bytes, padded in front so that every
+    line has _CELL_WIDTH bytes before its newline."""
+    if not text.isascii():
         return None
-    cells = text.replace("\n", ",").split(",")
+    raw = np.frombuffer(b"\n" * _CELL_WIDTH + text.encode() + b"\n" * (not text.endswith("\n")),
+                        np.uint8)
+    ends = np.flatnonzero(raw[_CELL_WIDTH:] == ord("\n")) + _CELL_WIDTH
+    starts = np.empty_like(ends)
+    starts[0] = _CELL_WIDTH
+    starts[1:] = ends[:-1] + 1
+    width = ends - starts - len("YYYY-MM-DD,")  # of each value cell
+    if width.min() < 1:
+        return None
+    days = _day_ordinals(raw, starts)
+    if days is None or days[0] <= last_day or np.any(days[1:] <= days[:-1]):
+        return None
+    values, slow = _decimal_values(raw, ends, width)
+    slow = np.flatnonzero(slow)
+    stops = ends[slow] - _CELL_WIDTH  # in text
+    cells = [text[a:b] for a, b in zip((stops - width[slow]).tolist(), stops.tolist())]
     try:
-        days = np.fromiter(map(date.toordinal, map(date.fromisoformat, cells[0::2])), np.int64, n)
-        values = np.fromiter(map(float, cells[1::2]), np.float64, n)
+        values[slow] = list(map(float, cells))
     except ValueError:
         return None
-    if not (np.all(np.isfinite(values)) and np.all(np.diff(days, prepend=last_day) > 0)):
+    if not np.all(np.isfinite(values[slow])):
         return None
     return days, values
 
 
-def _parse_rows(path, lines: list[str], first_row: int, last_day: int):
-    """The block of ``lines`` read row by row: blank rows are skipped and
-    the first bad row raises.  A record may not span lines."""
+def _words(raw: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``raw`` from each offset, as a little-endian word: the
+    first byte is the low byte."""
+    return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))[offsets]
+
+
+def _over(words: np.ndarray, limits: np.uint64) -> np.ndarray:
+    """Nonzero where some byte of a word exceeds the same byte of ``limits``
+    (each at most 0x7F): the sums of the low 7 bits cannot carry."""
+    return (((words & _LOW_BITS) + (_LOW_BITS - limits)) | words) & _HIGH_BITS
+
+
+def _zero_bytes(words: np.ndarray) -> np.ndarray:
+    """1 in each byte of a word that is 0, and 0 in the others."""
+    return ~(((words & _LOW_BITS) + _LOW_BITS) | words | _LOW_BITS) >> np.uint64(7)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The numbers that words of eight digit values 0..9 spell, the low byte
+    the most significant digit: pairs, fours, then eights of digits are
+    combined in all the words at once."""
+    words = (words * np.uint64(10) + (words >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    words = (words * np.uint64(100) + (words >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    return (words * np.uint64(10000) + (words >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+
+
+def _day_ordinals(raw: np.ndarray, starts: np.ndarray):
+    """The ``date.toordinal`` of the ``YYYY-MM-DD,`` at each start in
+    ``raw``; None unless every one is a valid date so written."""
+    ymd = _words(raw, starts) ^ _DATE_ZEROS  # "YYYY-MM-"
+    dd = (_words(raw, starts + 3) >> np.uint64(40)) ^ _DAY_ZEROS  # "DD,"
+    if np.any(_over(ymd, _DATE_MAX) | _over(dd, _DAY_MAX)):
+        return None
+    yyyy0mm0 = _eight_digits(ymd).astype(np.int64)
+    year, month = yyyy0mm0 // 10000, yyyy0mm0 % 10000 // 10
+    day = ((dd & np.uint64(0xFF)) * np.uint64(10) + (dd >> np.uint64(8))).astype(np.int64)
+    leap = _LEAP[year]
+    if not np.all((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))):
+        return None
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+
+
+def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
+    """float64 values of the decimal cells in ``raw`` that end just before
+    ``ends`` and are ``width`` characters long, and a mask of the rows whose
+    values are left to float(): cells longer than _CELL_WIDTH, cells with
+    other characters than a leading '-', digits and one '.', and cells with
+    20 or more digits from the first nonzero one, the dot included.
+
+    A cell is read as an integer mantissa m and the number f of its digits
+    after the dot, and its value is m / 10**f, computed in long double, where
+    both are exact, and rounded to double (Clinger 1990).  That equals
+    float(cell), which rounds the exact quotient once, unless the long
+    double lies exactly halfway between two doubles: a midpoint has 54
+    significant bits, so is itself a long double, and none can lie between
+    the quotient and the long double nearest to it.  Those rows are left to
+    float() too."""
+    w = _CELL_WIDTH
+    neg = raw[ends - width] == ord("-")
+    lead = w - np.minimum(width, w) + neg  # column of the first character after the sign
+    dots = after = bad = 0
+    eights = []
+    for j in range(3):
+        word = _words(raw, ends - w + 8 * j) ^ np.uint64(ord("0") * _BYTES)
+        keep = _KEEP[j][lead]
+        dot = _zero_bytes(word ^ np.uint64(0x1E * _BYTES)) & keep  # "." is "0" ^ 0x1E
+        word &= keep & ~(dot * np.uint64(0xFF))
+        dots = dots + ((dot * np.uint64(_BYTES)) >> np.uint64(56))
+        after = after + ((dot * _COLUMNS_AFTER[j]) >> np.uint64(56))
+        bad = bad | _over(word, np.uint64(9 * _BYTES))
+        eights.append(_eight_digits(word))
+    # the digits with the dot read as 0, below 1e19 if the first eight are
+    # below 1000: s = 10 m - 9 r, r the part after the dot
+    s = (eights[0] * np.uint64(10 ** 8) + eights[1]) * np.uint64(10 ** 8) + eights[2]
+    f = np.where(dots == 1, after, 0).astype(np.intp)  # digits after the dot
+    r = s % _POW10_U64[np.where(dots == 1, f, w)]
+    m = (s - r) // np.uint64(10) + r
+    slow = ((width > w) | (width == neg + dots) | (dots > 1) | (bad != 0)
+            | (eights[0] >= np.uint64(1000)))
+    if _EXACT_LONG_DOUBLE:
+        q = m.astype(np.longdouble) / _DIVISORS[f + w * neg]
+        values = q.astype(np.float64)
+        c = q * _SPLIT
+        slow |= (c - (c - q) == q) & (values != q)  # 54 significant bits, not 53
+    else:
+        values = np.zeros(m.size)
+        slow[:] = True
+    return values, slow
+
+
+def _parse_rows(path, text: str, first_row: int, last_day: int):
+    """The block ``text`` read row by row: blank rows are skipped and the
+    first bad row raises.  A record may not span lines."""
+    lines = io.StringIO(text).readlines()  # split at "\n" only, as the file was
     days, values = [], []
     # a record still open after the block's last line takes this extra line,
     # so it shows as spanning two lines

@@ -22,7 +22,9 @@ from .errors import DomainError, ParseError
 # finite so log10_value never degrades into inf/nan silently.
 LOG10_CAP = 1e15
 
-_NUMBER_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?\s*$")
+# ASCII only: \d would also match other scripts' digits, which the nonzero
+# test in parse() does not recognise
+_NUMBER_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?\s*$", re.ASCII)
 
 
 def _checked_log10(value: float) -> float:

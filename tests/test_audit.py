@@ -1,10 +1,13 @@
 import csv
 import math
+import random
 import time
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
@@ -152,9 +155,10 @@ def reference_load_series(path):
 
 def _outcome(loader, path):
     try:
-        return loader(path)
+        dates, values = loader(path)
     except DomainError as exc:
         return str(exc)
+    return dates, [v.hex() for v in values]  # bit for bit: -0.0 is not 0.0
 
 
 def _columns(path):
@@ -168,7 +172,8 @@ def _daily_rows(n, start=date(2000, 1, 1)):
 
 # a list holds the data rows after a "date,value" header, a string the whole
 # file; a tuple puts its row first in the second block of daily rows ("dup"
-# repeats the date before it)
+# repeats the date before it), found as load_series reads blocks: so many
+# characters, then the rest of the line
 DIFFERENTIAL_FILES = {
     "quoted fields": ['"2007-08-09","1.5"', '2007-08-10,"-2"', '"2007-08-11",3'],
     "quote inside a field": ['2007-08-09,1"', '2007-08-10,2'],
@@ -192,17 +197,41 @@ DIFFERENTIAL_FILES = {
     "order before a parse error": ["2007-08-09,1", "2007-08-08,2", "2007-08-10,oops"],
     "no final newline": "date,value\n2007-08-09,1\n2007-08-10,2",
     "blank line at the end": ["2007-08-09,1", "2007-08-10,2", ""],
+    "exponent forms": ["2007-08-09,1e-05", "2007-08-10,-2.5E+3"],
+    "negative zeros": ["2007-08-09,-0", "2007-08-10,-0.0"],
+    "exact double midpoints": ["2007-08-09,9007199254740993", "2007-08-10,4503599627370496.5"],
+    # each m / 10**f rounds to a long double halfway between two doubles,
+    # and rounding that again to double gives the wrong one
+    "long double on a midpoint": ["2007-08-09,0.004421418633654283", "2007-08-10,-0.02500582813493968"],
+    "19 and 21 significant digits": ["2007-08-09,1234567890123456789",
+                                     "2007-08-10,-0.123456789012345678901"],
+    "bare dots": ["2007-08-09,.5", "2007-08-10,5.", "2007-08-11,-.5"],
+    "a sign alone": ["2007-08-09,1", "2007-08-10,-"],
+    "a dot alone": ["2007-08-09,."],
+    "two dots": ["2007-08-09,1.2.3"],
+    "Arabic-Indic digits": ["2007-08-09,\u0661\u0662"],
+    "no-break space, then an exponent": ["2007-08-09,1\u00a0", "2007-08-10,11e5"],
+    "form feed in a field": ["2007-08-09,1\f", "", "2007-08-10,2\f2007-08-11"],
+    "line separator in a field": ["2007-08-09,1\u2028", "2007-08-10,2\u20282007-08-11,3"],
+    "leap days and the last date": ["2000-02-29,1", "2004-02-29,2", "9999-12-31,3"],
+    "February 29, 1900": ["1900-02-28,1", "1900-02-29,2"],
+    "April 31": ["2007-04-31,1"],
+    "month 13": ["2007-13-01,1"],
+    "day 0": ["2007-08-00,1"],
     "bad value on the first row of block 2": ("2099-01-01,oops",),
     "date backwards across blocks": ("1999-12-31,1",),
     "duplicate date across blocks": ("dup",),
 }
 
 
-def _differential_text(name, block_rows):
+def _differential_text(name, block_chars):
     spec = DIFFERENTIAL_FILES[name]
     if isinstance(spec, tuple):
-        rows = _daily_rows(block_rows + 3)
-        rows[block_rows] = rows[block_rows - 1] if spec[0] == "dup" else spec[0]
+        rows = _daily_rows(block_chars // 10 + 4)
+        starts = np.cumsum([0] + [len(row) + 1 for row in rows])
+        k = int(np.argmax(starts > block_chars))  # the first row of block 2
+        rows = rows[:k + 3]
+        rows[k] = rows[k - 1] if spec[0] == "dup" else spec[0]
         return "date,value\n" + "\n".join(rows) + "\n"
     if isinstance(spec, str):
         return spec
@@ -213,25 +242,142 @@ class TestLoaderDifferential:
     """load_series against the row-by-row reference: equal (dates, values)
     or an equal DomainError message, at several block sizes."""
 
-    @pytest.mark.parametrize("block_rows", [1, 2, audit._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_chars", [1, 2, 1 << 16])
     @pytest.mark.parametrize("name", list(DIFFERENTIAL_FILES))
-    def test_same_outcome_as_reference(self, tmp_path, monkeypatch, name, block_rows):
-        monkeypatch.setattr(audit, "_BLOCK_ROWS", block_rows)
+    def test_same_outcome_as_reference(self, tmp_path, monkeypatch, name, block_chars):
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
         path = tmp_path / "s.csv"
-        path.write_bytes(_differential_text(name, block_rows).encode("utf-8"))
+        path.write_bytes(_differential_text(name, block_chars).encode("utf-8"))
         want = _outcome(reference_load_series, path)
         assert _outcome(_columns, path) == want
 
-    @pytest.mark.parametrize("block_rows", [1, 2, audit._BLOCK_ROWS])
-    def test_line_break_in_quoted_field_names_its_row(self, tmp_path, monkeypatch, block_rows):
+    @pytest.mark.parametrize("block_chars", [1, 2, 1 << 16])
+    def test_line_break_in_quoted_field_names_its_row(self, tmp_path, monkeypatch, block_chars):
         # the reference reads the record across both lines; load_series
         # refuses it, and names the row where it starts
-        monkeypatch.setattr(audit, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
         path = tmp_path / "s.csv"
         path.write_text('date,value\n2007-08-09,1\n"2007-08-10\n",2\n2007-08-11,3\n')
         assert len(reference_load_series(path)[0]) == 3
         with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field"):
             load_series(path)
+
+    @pytest.mark.parametrize("block_chars", [1, 2, 1 << 16])
+    @pytest.mark.parametrize("name", [n for n, spec in DIFFERENTIAL_FILES.items()
+                                      if isinstance(spec, tuple)])
+    def test_across_blocks_row_starts_block_2(self, tmp_path, monkeypatch, name, block_chars):
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
+        blocks = []
+        parse_block = audit._parse_block
+        monkeypatch.setattr(audit, "_parse_block",
+                            lambda text, last_day: blocks.append(text) or parse_block(text, last_day))
+        path = tmp_path / "s.csv"
+        path.write_text(_differential_text(name, block_chars))
+        _outcome(_columns, path)
+        row = DIFFERENTIAL_FILES[name][0]
+        first = blocks[1].split("\n", 1)[0]
+        assert first == (blocks[0].splitlines()[-1] if row == "dup" else row)
+
+
+def _write_cells(path, cells, start=date(2000, 1, 1)):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("date,value\n")
+        fh.writelines(f"{start + timedelta(days=i)},{c}\n" for i, c in enumerate(cells))
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.int64)
+
+
+@st.composite
+def _decimal_cells(draw):
+    """Decimal text: a sign, 1 to 22 digits, a dot anywhere or none, and an
+    optional exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    text = draw(st.sampled_from(["", "-"])) + (digits if dot is None
+                                                else digits[:dot] + "." + digits[dot:])
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        text += exponent + draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 30)))
+    return text
+
+
+# x87 extended or IEEE quad long double, on which the bulk path calls no float()
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bulk") / "s.csv"
+
+
+class TestBulkParser:
+    """The bulk path of load_series against float() bit for bit, and against
+    date.toordinal, with the long double path on and forced off; none of
+    these files may fall back to the row-by-row reader."""
+
+    @pytest.mark.parametrize("long_double", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(cells=st.lists(_decimal_cells(), min_size=1, max_size=40))
+    def test_decimal_text_as_float(self, csv_path, long_double, cells):
+        _write_cells(csv_path, cells)
+        with mock.patch.object(audit, "_EXACT_LONG_DOUBLE", audit._EXACT_LONG_DOUBLE and long_double), \
+                mock.patch.object(audit, "_parse_rows", side_effect=AssertionError("fell back")):
+            values = load_series(csv_path).values
+        assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
+
+    @pytest.mark.parametrize("long_double", [True, False])
+    def test_repr_of_random_bit_patterns(self, tmp_path, monkeypatch, long_double):
+        # half across the whole exponent range, half with the exponents that
+        # repr writes without one (1e-4 <= |x| < 1e16)
+        rng = np.random.default_rng(2011)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        bits[::2] = (bits[::2] & np.uint64(0x800FFFFFFFFFFFFF)) | (
+            rng.integers(1009, 1076, 50_000).astype(np.uint64) << np.uint64(52))
+        x = bits.view(np.float64)
+        cells = [repr(v) for v in x[np.isfinite(x)].tolist()]
+        path = tmp_path / "s.csv"
+        _write_cells(path, cells, start=date(1700, 1, 1))
+        monkeypatch.setattr(audit, "_EXACT_LONG_DOUBLE", audit._EXACT_LONG_DOUBLE and long_double)
+        monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
+        values = load_series(path).values
+        assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
+
+    def test_day_ordinals_of_whole_years(self, tmp_path, monkeypatch):
+        days = [date(y, 1, 1) + timedelta(days=i) for y in (1, 4, 100, 400, 1900, 2000, 9999)
+                for i in range(date(y, 12, 31).timetuple().tm_yday)]
+        path = tmp_path / "s.csv"
+        path.write_text("date,value\n" + "".join(f"{d.isoformat()},1\n" for d in days))
+        monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
+        dates = load_series(path).dates
+        assert (dates.astype(np.int64) + audit._EPOCH_ORDINAL).tolist() == [d.toordinal() for d in days]
+
+    @pytest.mark.skipif(not _EXACT_LONG_DOUBLE, reason="every row goes to float() here")
+    def test_plain_17_digit_decimals_never_call_float(self, tmp_path, monkeypatch):
+        # A 17-digit repr is the 17-digit decimal nearest its double, within
+        # 0.45 ulp of it, so its long double quotient is never a midpoint.
+        rng = random.Random(17)
+        cells = []
+        while len(cells) < 10_000:
+            cell = repr(rng.uniform(-10.0, 10.0))
+            if "e" not in cell and len(cell.lstrip("-").replace(".", "").lstrip("0")) == 17:
+                cells.append(cell)
+        path = tmp_path / "s.csv"
+        _write_cells(path, cells)
+        calls = {"float": 0, "_parse_rows": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(audit, "float", counted("float", float), raising=False)
+        monkeypatch.setattr(audit, "_parse_rows", counted("_parse_rows", audit._parse_rows))
+        values = load_series(path).values
+        assert calls == {"float": 0, "_parse_rows": 0}
+        assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
 
 class TestSeriesValidation:

@@ -185,6 +185,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(bad)
 
+    @pytest.mark.parametrize("text", ["\u0663e-5", "1e-\u0665", "\u00a03e-5", "3e-5\u2028"])
+    def test_non_ascii_digits_and_spaces_rejected(self, text):
+        # Arabic-Indic digits once parsed as ZERO: \d matched them but the
+        # nonzero test did not
+        with pytest.raises(ParseError):
+            parse(text)
+
     def test_negative_is_domain_error(self):
         with pytest.raises(DomainError):
             parse("-3e-5")
