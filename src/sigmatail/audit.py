@@ -156,8 +156,15 @@ def load_series(path) -> Series:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
         raise DomainError(f"{path}: no data rows")
-    days = np.concatenate(day_blocks) - _EPOCH_ORDINAL
-    return Series(days.view("datetime64[D]"), np.concatenate(value_blocks), source_label=str(path))
+    # Free each list of blocks as soon as it is joined, and shift the days in
+    # place: Series copies both columns again, so every array held here adds
+    # to the high-water mark.
+    days = np.concatenate(day_blocks)
+    day_blocks.clear()
+    days -= _EPOCH_ORDINAL
+    values = np.concatenate(value_blocks)
+    value_blocks.clear()
+    return Series(days.view("datetime64[D]"), values, source_label=str(path))
 
 
 def _parse_block(text: str, last_day: int):

@@ -6,11 +6,16 @@ stderr.  Exit codes: 0 success, 2 usage error, 3 domain error.
 
 days_per_year defaults to 250 and may be overridden globally with the
 SIGMATAIL_DAYS_PER_YEAR environment variable or per command with --dpy.
+
+The parser is built once per process and days-per-year default, so repeated
+in-process ``main`` calls do not pay again for building it (README, "Calling
+the CLI in-process").
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,6 +176,9 @@ def _cmd_context(args, out, err) -> int:
     d = args.digits
     r = gauss.gauss_tail(args.k, days_per_year=args.dpy)
     refs = scales.load_reference_scales(args.refs) if args.refs else scales.BUILTIN_SCALES
+    baseline = None if args.baseline_years is None else parse(args.baseline_years)
+    if baseline is not None and baseline.is_zero:
+        raise DomainError("--baseline-years must be positive")
     print(f"k: {_fmt_k(r.k)}", file=out)
     print(f"percent: {format_sci(r.percent, d)} %", file=out)
     print(f"occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
@@ -183,9 +191,8 @@ def _cmd_context(args, out, err) -> int:
         )
     n_low, n_high = scales.lottery_equivalent(r.probability)
     print(f"lottery: between {n_low} and {n_high} consecutive wins", file=out)
-    if args.baseline_years is not None:
-        gap = scales.order_gap(r.occurrence_years, parse(args.baseline_years))
-        print(f"order gap vs baseline: {gap}", file=out)
+    if baseline is not None:
+        print(f"order gap vs baseline: {scales.order_gap(r.occurrence_years, baseline)}", file=out)
     return 0
 
 
@@ -254,6 +261,7 @@ def _add_dpy(p, default_dpy):
                    help=f"trading days per year (default {default_dpy})")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmatail",
@@ -267,39 +275,33 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=gauss._MODES, default="auto")
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_prob)
 
     p = sub.add_parser("table", help="one row per k: percent, occurrence days/years")
     p.add_argument("--ks", required=True, help="comma-separated sigma levels, e.g. 3,4,5,6,7")
     p.add_argument("--format", choices=_FORMATS, default="text")
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("occurrence", help="expected-occurrence period for k or a probability")
     p.add_argument("k", type=float, nargs="?", default=None)
     p.add_argument("--p", help="probability in scientific or decimal text form")
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_occurrence)
 
     p = sub.add_parser("streak", help="odds of m consecutive k-sigma days")
     p.add_argument("k", type=float)
     p.add_argument("--days", type=int, required=True)
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_streak)
 
     p = sub.add_parser("lottery", help="bracket a probability between consecutive-win streaks")
     p.add_argument("--p", required=True)
     p.add_argument("--win-prob", dest="win_prob", default=None,
                    help="single-ticket win probability (default 4e-7)")
-    p.set_defaults(handler=_cmd_lottery)
 
     p = sub.add_parser("invert", help="sigma level whose occurrence period matches --years")
     p.add_argument("--years", required=True)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("context", help="reference-scale comparisons for a k-sigma event")
     p.add_argument("k", type=float)
@@ -308,7 +310,6 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
                    help="also print the order gap vs this period")
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_context)
 
     p = sub.add_parser("ttail", help="Student-t upper tail and gap vs the Gaussian")
     p.add_argument("k", type=float)
@@ -316,7 +317,6 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("--standardized", action="store_true",
                    help="rescale to unit variance (sigma units)")
     _add_digits(p)
-    p.set_defaults(handler=_cmd_ttail)
 
     p = sub.add_parser("audit", help="sigma-score a date,value CSV and test the event count")
     p.add_argument("file")
@@ -327,7 +327,6 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_digits(p)
     _add_dpy(p, default_dpy)
-    p.set_defaults(handler=_cmd_audit)
 
     return parser
 
@@ -344,7 +343,7 @@ def main(argv=None, out=None, err=None) -> int:
         dpy = getattr(args, "dpy", None)
         if dpy is not None and dpy < 1:
             raise DomainError("--dpy must be >= 1")
-        return args.handler(args, out, err)
+        return globals()["_cmd_" + args.command](args, out, err)
     except (DomainError, ParseError) as exc:
         print(f"error: {exc}", file=err)
         return 3

@@ -64,10 +64,7 @@ class TailQuery:
     mode: str = "auto"
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(float(self.k))):
-            raise DomainError("k must be a finite real")
-        if float(self.k) < 0.0:
-            raise DomainError("k must be nonnegative")
+        _validate_k(self.k)
         if not isinstance(self.days_per_year, int) or self.days_per_year < 1:
             raise DomainError("days_per_year must be a positive integer")
         if self.mode not in _MODES:
@@ -205,6 +202,8 @@ _LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)
 def _validate_k(k) -> float:
     if not (isinstance(k, (int, float)) and math.isfinite(float(k))):
         raise DomainError("k must be a finite real")
+    if k < 0.0:  # -0.0 passes
+        raise DomainError("k must be nonnegative")
     return float(k)
 
 

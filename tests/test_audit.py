@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import time
+import tracemalloc
 from datetime import date, timedelta
 from unittest import mock
 
@@ -112,6 +113,23 @@ class TestLoadSeries:
         path.write_bytes(b"date,value\n2007-08-09,1\n2007-08-10,caf\xe9\n")
         with pytest.raises(DomainError, match="not UTF-8 text"):
             load_series(path)
+
+    def test_peak_memory_of_a_load(self, tmp_path):
+        # Series copies both columns, so the floor is 2x the result; the
+        # loader may hold little more than that at once.
+        rng = np.random.default_rng(3)
+        path = tmp_path / "s.csv"
+        _write_cells(path, map(repr, (rng.standard_normal(300_000) * 0.01).tolist()),
+                     start=date(1000, 1, 1))
+        load_series(path)  # the second load is measured
+        tracemalloc.start()
+        try:
+            s = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 300_000
+        assert peak <= 2.5 * (s.dates.nbytes + s.values.nbytes)
 
 
 def reference_load_series(path):

@@ -79,6 +79,22 @@ class TestProb:
         code, _, err = run_cli(["prob", "2", "--digits", "16"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [["prob", "--", "-3"], ["table", "--ks=-1,2"]])
+    def test_negative_k_names_the_sign(self, argv):
+        assert run_cli(argv) == (3, "", "error: k must be nonnegative\n")
+
+    def test_negative_zero_is_zero(self):
+        code, out, err = run_cli(["prob", "--", "-0.0"])
+        assert code == 0
+        assert out == (
+            "k: -0\n"
+            "probability: 5.000e-1\n"
+            "percent: 5.000e+1 %\n"
+            "occurrence_days: 2.000e+0\n"
+            "occurrence_years: 8.000e-3\n"
+        )
+        assert "path=exact y=-0.0" in err
+
 
 class TestTable:
     def test_golden_csv(self):
@@ -246,6 +262,14 @@ class TestContext:
         assert "vs dog years (years)" in out
         assert "Ice Age" not in out
 
+    @pytest.mark.parametrize("baseline, message", [
+        ("0", "error: --baseline-years must be positive\n"),
+        ("abc", "error: not a number: 'abc'\n"),
+        ("-5", "error: negative values are not representable: '-5'\n"),
+    ], ids=["zero", "abc", "negative"])
+    def test_bad_baseline_prints_nothing(self, baseline, message):
+        assert run_cli(["context", "3", f"--baseline-years={baseline}"]) == (3, "", message)
+
     def test_refs_not_utf8_exit_3(self, tmp_path):
         refs = tmp_path / "refs.csv"
         refs.write_bytes(b"caf\xe9 years,years,7,7\n")
@@ -373,6 +397,54 @@ class TestEnvironment:
         monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "soon")
         code, _, err = run_cli(["prob", "2"])
         assert code == 3
+
+
+class TestParserReuse:
+    """main builds the parser once per days-per-year default and looks the
+    handler up by name on every call."""
+
+    ARGVS = (["prob", "2"], ["table", "--ks", "3,4"], ["occurrence", "--p", "1e-6"],
+             ["streak", "3", "--days", "2"], ["lottery", "--p", "1e-30"],
+             ["invert", "--years", "1e6"], ["context", "5"], ["ttail", "4", "--nu", "3"],
+             ["prob", "25", "--mode", "exact"], ["table", "--ks", "x"])
+
+    def test_parsers_built_once(self, monkeypatch):
+        monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR, raising=False)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        for i in range(50):
+            assert run_cli(self.ARGVS[i % len(self.ARGVS)])[0] in (0, 3)
+        assert len(built) <= 10  # the top level and nine subcommands, once
+
+    def test_env_change_rebuilds(self, monkeypatch, capsys):
+        years = []
+        for env in ("365", None, "365"):
+            if env is None:
+                monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR)
+            else:
+                monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, env)
+            out = run_cli(["prob", "2"])[1]
+            years.append(next(l for l in out.splitlines() if l.startswith("occurrence_years")))
+        assert years == ["occurrence_years: 1.204e-1", "occurrence_years: 1.758e-1",
+                         "occurrence_years: 1.204e-1"]
+        monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR)
+        with pytest.raises(SystemExit):
+            run_cli(["prob", "--help"])
+        assert "(default 250)" in capsys.readouterr().out
+
+    def test_handler_looked_up_at_call_time(self, monkeypatch):
+        assert run_cli(["prob", "2"])[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_prob", lambda args, out, err: calls.append(args.k) or 7)
+        assert run_cli(["prob", "2.5"])[0] == 7
+        assert calls == [2.5]
 
 
 class TestEntryPoint:

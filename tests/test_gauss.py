@@ -200,6 +200,17 @@ class TestDispatch:
         with pytest.raises(DomainError):
             gauss_tail(2.0, mode="fast")
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "asymptotic", "paper_appendix"])
+    @pytest.mark.parametrize("k", [-3.0, -1])
+    def test_negative_k_named_in_every_mode(self, k, mode):
+        with pytest.raises(DomainError, match="^k must be nonnegative$"):
+            gauss_tail(k, mode=mode)
+
+    def test_negative_zero_is_zero(self):
+        r = gauss_tail(-0.0)
+        assert r.probability == gauss_tail(0.0).probability
+        assert math.copysign(1.0, r.k) == -1.0 and r.diagnostics.path == "exact"
+
     def test_query_evaluation(self):
         q = TailQuery(k=2.0, days_per_year=250, mode="auto")
         r = evaluate(q)
