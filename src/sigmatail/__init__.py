@@ -8,14 +8,9 @@ import importlib
 from .errors import DomainError, ParseError
 from .gauss import (
     SeriesDiagnostics,
-    TailQuery,
     TailResult,
-    evaluate,
     events_per_year,
     gauss_tail,
-    gauss_tail_asymptotic,
-    gauss_tail_exact,
-    gauss_tail_paper_appendix,
     occurrence_days,
     occurrence_years,
     sigma_for_period,
@@ -25,16 +20,11 @@ from .magnitude import (
     Magnitude,
     ONE,
     ZERO,
-    compare,
-    div,
     format_sci,
-    from_log10,
     from_real,
     from_sci,
-    mul,
     parse,
     pow_int,
-    recip,
 )
 from .scales import (
     BUILTIN_SCALES,
@@ -77,12 +67,10 @@ __all__ = [
     "build_report", "estimate_moments", "flag_events", "load_series",
     "report_as_dict", "sigma_scores",
     "DomainError", "ParseError",
-    "SeriesDiagnostics", "TailQuery", "TailResult", "evaluate",
-    "events_per_year", "gauss_tail", "gauss_tail_asymptotic",
-    "gauss_tail_exact", "gauss_tail_paper_appendix", "occurrence_days",
-    "occurrence_years", "sigma_for_period", "streak_probability",
-    "Magnitude", "ONE", "ZERO", "compare", "div", "format_sci", "from_log10",
-    "from_real", "from_sci", "mul", "parse", "pow_int", "recip",
+    "SeriesDiagnostics", "TailResult", "events_per_year", "gauss_tail",
+    "occurrence_days", "occurrence_years", "sigma_for_period", "streak_probability",
+    "Magnitude", "ONE", "ZERO", "format_sci", "from_real", "from_sci", "parse",
+    "pow_int",
     "BUILTIN_SCALES", "DEFAULT_LOTTERY", "LotteryModel",
     "ReferenceComparison", "ReferenceScale", "compare_to_references",
     "load_reference_scales", "lottery_equivalent", "order_gap",

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, gauss, magnitude
+from . import _kernels, gauss
 from .errors import DomainError
 from .magnitude import Magnitude, from_real
 
@@ -396,7 +396,7 @@ def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
 
 
 def flag_events(series: Series, moments: Moments, threshold_k: float,
-                side: str = "loss") -> tuple[list[FlaggedDay], int]:
+                side: str = "loss") -> list[FlaggedDay]:
     """Days whose sigma score breaches the threshold.
 
     side="loss" flags score <= -k (losses only); side="both" flags
@@ -412,9 +412,8 @@ def flag_events(series: Series, moments: Moments, threshold_k: float,
     # unscored days have NaN scores, which compare False
     hit = (scores <= -k) if side == "loss" else (np.abs(scores) >= k)
     i = np.flatnonzero(hit)
-    flagged = [FlaggedDay(d, round(s, 4))
-               for d, s in zip(series.dates[i].tolist(), scores[i].tolist())]
-    return flagged, len(flagged)
+    return [FlaggedDay(d, round(s, 4))
+            for d, s in zip(series.dates[i].tolist(), scores[i].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +549,12 @@ def build_report(series: Series, *, threshold_k: float, window: int | None = Non
     clustering is deliberately out of scope and renderers state the
     assumption."""
     moments = estimate_moments(series, window)
-    flagged, observed = flag_events(series, moments, threshold_k, side)
+    flagged = flag_events(series, moments, threshold_k, side)
+    observed = len(flagged)
     n_scored = int(moments.scored.sum())
 
     tail = gauss.gauss_tail(float(threshold_k)).probability
-    p_model = magnitude.mul(tail, from_real(2.0)) if side == "both" else tail
+    p_model = tail * from_real(2.0) if side == "both" else tail
     expected = n_scored * (10.0 ** p_model.log10_value if p_model.log10_value > -320 else 0.0)
 
     if n_scored == 0 or observed == 0:

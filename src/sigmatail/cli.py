@@ -147,8 +147,8 @@ def _cmd_streak(args, out, err) -> int:
     d = args.digits
     r = gauss.gauss_tail(args.k, days_per_year=args.dpy)
     streak = gauss.streak_probability(r.probability, args.days)
-    print(f"probability: {format_sci(streak, d)}", file=out)
     percent_power = pow_int(r.percent, args.days)
+    print(f"probability: {format_sci(streak, d)}", file=out)
     print(
         f"note: percent-power variant gives {format_sci(percent_power, d)} "
         "(raises the percent form to the power instead of the probability)",

@@ -1,6 +1,7 @@
 """Gaussian upper-tail probabilities for k-sigma events.
 
-Two production paths cover the whole range of k:
+``gauss_tail(k, mode=...)`` is the one entry point.  Two production modes
+cover the whole range of k:
 
 * ``exact`` (k <= 9.5): ``0.5 * erfc(k / sqrt(2))``.  The complementary
   error function keeps full relative precision where evaluating
@@ -10,11 +11,13 @@ Two production paths cover the whole range of k:
   summed in ordinary floats and truncated at its smallest term.  Valid to
   k = 1e6.
 
-A third path, ``paper_appendix``, reproduces a legacy fixed four-term
-variant of the expansion whose cubic correction term carries a plus sign
-instead of the alternating minus; it exists so published figures computed
-that way can be regenerated bit-for-bit and diffed against the production
-series.
+``auto``, the default, takes ``exact`` up to k = 9 and ``asymptotic``
+beyond.  A third mode, ``paper_appendix``, reproduces a legacy fixed
+four-term variant of the expansion whose cubic correction term carries a
+plus sign instead of the alternating minus; it exists so published figures
+computed that way can be regenerated bit-for-bit and diffed against the
+production series (the two differ by about 30/k^6 relative, e.g. 3e-5 at
+k = 10).
 
 Probabilities convert to expected-occurrence periods (days, years at a
 configurable trading-day convention), streak odds, and back from periods to
@@ -26,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import magnitude
 from .errors import DomainError
-from .magnitude import Magnitude, from_real
+from .magnitude import Magnitude, from_real, pow_int
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_DAYS_PER_YEAR = 250
@@ -51,24 +53,6 @@ _HALF_LOG10_2PI = 0.3990899341790575
 _LN10 = math.log(10.0)
 
 _MODES = ("exact", "asymptotic", "paper_appendix", "auto")
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    """A tail-probability request: loss size in standard deviations plus
-    conversion conventions.  The underlying distribution is the standard
-    normal; callers standardize their data first."""
-
-    k: float
-    days_per_year: int = DEFAULT_DAYS_PER_YEAR
-    mode: str = "auto"
-
-    def __post_init__(self):
-        _validate_k(self.k)
-        if not isinstance(self.days_per_year, int) or self.days_per_year < 1:
-            raise DomainError("days_per_year must be a positive integer")
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -156,32 +140,27 @@ def _series_sum(k: float) -> tuple[float, int, float]:
         n += 1
 
 
-def _log10_tail_series(k: float) -> tuple[float, int, float, float]:
-    """log10 of the tail probability via the asymptotic expansion.
+def _log10_tail(k: float, s: float) -> float:
+    """log10 of the tail p = exp(-y^2) / (2 y sqrt(pi)) * S, y = k/sqrt(2),
+    for a correction factor S, assembled as
+    log10 p = -(k^2/2) log10(e) - log10(k) - log10(2 pi)/2 + log10(S)."""
+    return _neumaier_sum((*_neg_half_ksq_log10e(k), -math.log10(k), -_HALF_LOG10_2PI,
+                          math.log10(s)))
 
-    p = exp(-y^2) / (2 y sqrt(pi)) * S with y = k/sqrt(2), assembled as
-    log10 p = -(k^2/2) log10(e) - log10(k) - log10(2 pi)/2 + log10(S).
-    """
+
+def _log10_tail_series(k: float) -> tuple[float, int, float]:
+    """(log10 p, terms_used, truncation_bound) via the asymptotic expansion."""
     s, terms_used, bound = _series_sum(k)
-    addends = list(_neg_half_ksq_log10e(k))
-    addends.append(-math.log10(k))
-    addends.append(-_HALF_LOG10_2PI)
-    addends.append(math.log10(s))
-    return _neumaier_sum(addends), terms_used, bound, s
+    return _log10_tail(k, s), terms_used, bound
 
 
-def _log10_tail_fixed4(k: float) -> tuple[float, float]:
-    """log10 tail via the legacy fixed four-term correction
-    1 - u + 3u^2 + 15u^3 (note the non-alternating cubic sign), u = 1/k^2."""
+def _log10_tail_fixed4(k: float) -> tuple[float, int, float]:
+    """(log10 p, 4, bound) via the legacy fixed four-term correction
+    1 - u + 3u^2 + 15u^3 (note the non-alternating cubic sign), u = 1/k^2;
+    the bound is the nominal size of the next true series term."""
     u = 1.0 / (k * k)
     s4 = 1.0 + u * (-1.0 + u * (3.0 + u * 15.0))
-    addends = list(_neg_half_ksq_log10e(k))
-    addends.append(-math.log10(k))
-    addends.append(-_HALF_LOG10_2PI)
-    addends.append(math.log10(s4))
-    # nominal size of the next true series term, for the diagnostics field
-    bound = 105.0 * u ** 4 / s4
-    return _neumaier_sum(addends), bound
+    return _log10_tail(k, s4), 4, 105.0 * u ** 4 / s4
 
 
 def _log10_tail_erfc(k: float) -> float:
@@ -200,7 +179,7 @@ _LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)
 
 
 def _validate_k(k) -> float:
-    if not (isinstance(k, (int, float)) and math.isfinite(float(k))):
+    if isinstance(k, bool) or not (isinstance(k, (int, float)) and math.isfinite(float(k))):
         raise DomainError("k must be a finite real")
     if k < 0.0:  # -0.0 passes
         raise DomainError("k must be nonnegative")
@@ -215,103 +194,61 @@ def _validate_dpy(days_per_year) -> int:
     return days_per_year
 
 
+_HUNDRED = from_real(100.0)
+
+
 def _make_result(k: float, probability: Magnitude, days_per_year: int,
                  diagnostics: SeriesDiagnostics) -> TailResult:
-    days = magnitude.recip(probability)
+    days = probability.recip()
     return TailResult(
         k=k,
         probability=probability,
-        percent=magnitude.mul(probability, from_real(100.0)),
+        percent=probability * _HUNDRED,
         occurrence_days=days,
-        occurrence_years=magnitude.div(days, from_real(days_per_year)),
+        occurrence_years=days / from_real(days_per_year),
         diagnostics=diagnostics,
     )
 
 
-def gauss_tail_exact(k: float, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
-    """Upper-tail probability of the standard normal at k, erfc formulation.
-
-    Valid on [0, 9.5]; relative error <= 1e-12 against a high-precision
-    reference.  Never computed as 1 - cdf(k): that subtraction loses every
-    significant digit near k = 8.
-    """
-    k = _validate_k(k)
-    days_per_year = _validate_dpy(days_per_year)
-    if not 0.0 <= k <= EXACT_MAX_K:
-        raise DomainError(
-            f"exact path covers 0 <= k <= {EXACT_MAX_K}; got {k:g} (use auto mode)"
-        )
-    p = 0.5 * math.erfc(k / SQRT2)
-    diag = SeriesDiagnostics(
-        path="exact", y=k / SQRT2, terms_used=0, truncation_bound=0.0,
-    )
-    return _make_result(k, from_real(p), days_per_year, diag)
-
-
-def gauss_tail_asymptotic(k: float, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
-    """Upper-tail probability via the log10-domain asymptotic expansion.
-
-    Valid for 8 <= k <= 1e6.  The correction series is summed in ordinary
-    floats (it stays within (0.9, 1]); everything exponent-sized lives in
-    the log10 domain, so the result survives k = 25 and far beyond.
-    """
-    k = _validate_k(k)
-    days_per_year = _validate_dpy(days_per_year)
-    if not ASYMPTOTIC_MIN_K <= k <= MAX_K:
-        raise DomainError(
-            f"asymptotic path covers {ASYMPTOTIC_MIN_K:g} <= k <= {MAX_K:g}; got {k:g}"
-        )
-    log10_p, terms_used, bound, _ = _log10_tail_series(k)
-    diag = SeriesDiagnostics(
-        path="asymptotic", y=k / SQRT2, terms_used=terms_used, truncation_bound=bound,
-    )
-    return _make_result(k, Magnitude(log10_p), days_per_year, diag)
-
-
-def gauss_tail_paper_appendix(k: float, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
-    """Legacy fixed four-term variant of the asymptotic path.
-
-    Reproduces, in the log10 domain, the published four-term formula whose
-    cubic correction enters with a plus sign; kept verbatim so those figures
-    can be regenerated and compared against the production series (the two
-    differ by about 30/k^6 relative, e.g. 3e-5 at k = 10).
-    """
-    k = _validate_k(k)
-    days_per_year = _validate_dpy(days_per_year)
-    if not ASYMPTOTIC_MIN_K <= k <= MAX_K:
-        raise DomainError(
-            f"paper_appendix path covers {ASYMPTOTIC_MIN_K:g} <= k <= {MAX_K:g}; got {k:g}"
-        )
-    log10_p, bound = _log10_tail_fixed4(k)
-    diag = SeriesDiagnostics(
-        path="paper_appendix", y=k / SQRT2, terms_used=4, truncation_bound=bound,
-    )
-    return _make_result(k, Magnitude(log10_p), days_per_year, diag)
-
-
 def gauss_tail(k: float, *, mode: str = "auto",
                days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
-    """Dispatching front door: auto mode takes the exact path for k <= 9 and
-    the asymptotic series beyond; both agree to <= 1e-9 relative on the
-    overlap."""
+    """Upper-tail probability of the standard normal at k, 0 <= k <= 1e6.
+
+    ``exact`` covers [0, 9.5] with relative error <= 1e-12 against a
+    high-precision reference, and is never computed as 1 - cdf(k): that
+    subtraction loses every significant digit near k = 8.  ``asymptotic``
+    and ``paper_appendix`` cover [8, 1e6]; their correction series is
+    summed in ordinary floats (it stays within (0.9, 1]) and everything
+    exponent-sized lives in the log10 domain, so the result survives k = 25
+    and far beyond.  ``auto`` takes ``exact`` for k <= 9 and ``asymptotic``
+    beyond; the two agree to <= 1e-9 relative on the overlap."""
     k = _validate_k(k)
     if k > MAX_K:
         raise DomainError(f"k = {k:g} exceeds the supported range (k <= {MAX_K:g})")
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+    days_per_year = _validate_dpy(days_per_year)
+    path = mode
     if mode == "auto":
-        if k <= AUTO_SWITCH_K:
-            return gauss_tail_exact(k, days_per_year)
-        return gauss_tail_asymptotic(k, days_per_year)
-    if mode == "exact":
-        return gauss_tail_exact(k, days_per_year)
-    if mode == "asymptotic":
-        return gauss_tail_asymptotic(k, days_per_year)
-    if mode == "paper_appendix":
-        return gauss_tail_paper_appendix(k, days_per_year)
-    raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def evaluate(query: TailQuery) -> TailResult:
-    return gauss_tail(query.k, mode=query.mode, days_per_year=query.days_per_year)
+        path = "exact" if k <= AUTO_SWITCH_K else "asymptotic"
+    if path == "exact":
+        if k > EXACT_MAX_K:
+            raise DomainError(
+                f"exact path covers 0 <= k <= {EXACT_MAX_K}; got {k:g} (use auto mode)"
+            )
+        probability = from_real(0.5 * math.erfc(k / SQRT2))
+        terms_used, bound = 0, 0.0
+    else:
+        if k < ASYMPTOTIC_MIN_K:
+            raise DomainError(
+                f"{path} path covers {ASYMPTOTIC_MIN_K:g} <= k <= {MAX_K:g}; got {k:g}"
+            )
+        tail = _log10_tail_series if path == "asymptotic" else _log10_tail_fixed4
+        log10_p, terms_used, bound = tail(k)
+        probability = Magnitude(log10_p)
+    diag = SeriesDiagnostics(path=path, y=k / SQRT2, terms_used=terms_used,
+                             truncation_bound=bound)
+    return _make_result(k, probability, days_per_year, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +258,12 @@ def occurrence_days(p: Magnitude) -> Magnitude:
     """Expected-occurrence period in days: 1/p."""
     if p.is_zero:
         raise DomainError("occurrence period of a zero probability")
-    return magnitude.recip(p)
+    return p.recip()
 
 
 def occurrence_years(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> Magnitude:
     days_per_year = _validate_dpy(days_per_year)
-    return magnitude.div(occurrence_days(p), from_real(days_per_year))
+    return occurrence_days(p) / from_real(days_per_year)
 
 
 def events_per_year(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> float:
@@ -347,7 +284,7 @@ def streak_probability(p: Magnitude, m: int) -> Magnitude:
     """Probability of m independent consecutive occurrences: p**m."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError("streak length must be a positive integer")
-    return magnitude.pow_int(p, m)
+    return pow_int(p, m)
 
 
 def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> float:

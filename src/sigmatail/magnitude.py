@@ -12,6 +12,7 @@ numerically happen in ordinary floats before values are lifted here.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from decimal import Decimal
@@ -37,12 +38,15 @@ def _checked_log10(value: float) -> float:
     return float(value)
 
 
+@functools.total_ordering
 class Magnitude:
     """A nonnegative real represented by its base-10 logarithm.
 
-    Use :func:`from_real`, :func:`from_sci`, :func:`from_log10` or
-    :func:`parse` to construct instances; ``Magnitude(L)`` itself means
-    "the value whose log10 is L".
+    Use :func:`from_real`, :func:`from_sci` or :func:`parse` to construct
+    instances; ``Magnitude(L)`` itself means "the value whose log10 is L".
+    Arithmetic is ``*``, ``/``, :meth:`recip` and :func:`pow_int`; the six
+    comparisons order by value, zero below every positive value.  A float
+    operand raises TypeError, except in ``==`` and ``!=``, where it is unequal.
     """
 
     __slots__ = ("_log10", "_zero")
@@ -86,9 +90,6 @@ class Magnitude:
             raise DomainError("reciprocal of zero")
         return Magnitude(-self._log10)
 
-    def pow_int(self, n: int) -> "Magnitude":
-        return pow_int(self, n)
-
     def format(self, sig_digits: int = 6) -> str:
         return format_sci(self, sig_digits)
 
@@ -111,41 +112,30 @@ class Magnitude:
     def __mul__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return mul(self, other)
+        if self._zero or other._zero:
+            return ZERO
+        return Magnitude(self._log10 + other._log10)
 
     def __truediv__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return div(self, other)
+        if other._zero:
+            raise DomainError("division by zero")
+        if self._zero:
+            return ZERO
+        return Magnitude(self._log10 - other._log10)
 
-    # ordering -------------------------------------------------------------
+    # ordering: total_ordering derives <=, > and >= from == and < ----------
 
     def __eq__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        if self._zero or other._zero:
-            return self._zero and other._zero
-        return self._log10 == other._log10
+        return (self._zero, self._log10) == (other._zero, other._log10)
 
     def __lt__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return compare(self, other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, Magnitude):
-            return NotImplemented
-        return compare(self, other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, Magnitude):
-            return NotImplemented
-        return compare(self, other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, Magnitude):
-            return NotImplemented
-        return compare(self, other) >= 0
+        return (not self._zero, self._log10) < (not other._zero, other._log10)
 
     def __hash__(self):
         return hash((self._zero, self._log10))
@@ -177,37 +167,17 @@ def from_real(v: float) -> Magnitude:
 
 def from_sci(mantissa: float, exponent: int) -> Magnitude:
     """Magnitude of mantissa * 10**exponent with mantissa in [1, 10)."""
-    if not (isinstance(mantissa, (int, float)) and math.isfinite(float(mantissa))):
+    if isinstance(mantissa, bool) or not (
+            isinstance(mantissa, (int, float)) and math.isfinite(float(mantissa))):
         raise DomainError("mantissa must be a finite real")
     mantissa = float(mantissa)
     if not 1.0 <= mantissa < 10.0:
         raise DomainError(f"mantissa {mantissa!r} outside [1, 10)")
+    if isinstance(exponent, bool) or not isinstance(exponent, int):
+        raise DomainError("exponent must be an integer")
     if abs(exponent) > LOG10_CAP:
         raise DomainError("exponent out of supported range")
     return Magnitude(math.log10(mantissa) + exponent)
-
-
-def from_log10(log10_value: float) -> Magnitude:
-    """Magnitude whose base-10 logarithm is ``log10_value``."""
-    return Magnitude(log10_value)
-
-
-def mul(a: Magnitude, b: Magnitude) -> Magnitude:
-    if a.is_zero or b.is_zero:
-        return ZERO
-    return Magnitude(_checked_log10(a.log10_value + b.log10_value))
-
-
-def div(a: Magnitude, b: Magnitude) -> Magnitude:
-    if b.is_zero:
-        raise DomainError("division by zero")
-    if a.is_zero:
-        return ZERO
-    return Magnitude(_checked_log10(a.log10_value - b.log10_value))
-
-
-def recip(a: Magnitude) -> Magnitude:
-    return a.recip()
 
 
 def pow_int(a: Magnitude, n: int) -> Magnitude:
@@ -219,22 +189,7 @@ def pow_int(a: Magnitude, n: int) -> Magnitude:
         raise DomainError("zero may only be raised to a positive power")
     if n == 0:
         return ONE
-    return Magnitude(_checked_log10(a.log10_value * n))
-
-
-def compare(a: Magnitude, b: Magnitude) -> int:
-    """Total order over represented values: -1, 0 or +1."""
-    if a.is_zero and b.is_zero:
-        return 0
-    if a.is_zero:
-        return -1
-    if b.is_zero:
-        return 1
-    if a.log10_value < b.log10_value:
-        return -1
-    if a.log10_value > b.log10_value:
-        return 1
-    return 0
+    return Magnitude(a.log10_value * n)
 
 
 def format_sci(a: Magnitude, sig_digits: int = 4) -> str:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import magnitude
 from .errors import DomainError
 from .magnitude import Magnitude, ONE, from_real, from_sci, parse
 
@@ -28,7 +27,7 @@ class ReferenceScale:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.low.is_zero or self.high.is_zero:
             raise DomainError("reference bounds must be nonzero")
-        if magnitude.compare(self.low, self.high) > 0:
+        if self.low > self.high:
             raise DomainError(f"reference {self.name!r} has low > high")
 
 
@@ -113,8 +112,8 @@ def compare_to_references(years: Magnitude,
         out.append(ReferenceComparison(
             name=ref.name,
             kind=ref.kind,
-            ratio_low=magnitude.div(years, ref.low),
-            ratio_high=magnitude.div(years, ref.high),
+            ratio_low=years / ref.low,
+            ratio_high=years / ref.high,
         ))
     return out
 

@@ -120,11 +120,7 @@ def student_t_tail(k: float, spec: TDistSpec) -> Magnitude:
     1e-3000."""
     if not isinstance(spec, TDistSpec):
         raise DomainError("spec must be a TDistSpec")
-    if not (isinstance(k, (int, float)) and math.isfinite(float(k))):
-        raise DomainError("k must be a finite real")
-    k = float(k)
-    if k < 0.0:
-        raise DomainError("k must be nonnegative")
+    k = gauss._validate_k(k)
     if k == 0.0:
         return from_real(0.5)
     nu = float(spec.nu)

@@ -14,10 +14,7 @@ from mpmath import mp
 from conftest import make_series, tail_oracle
 from sigmatail import cli, gauss
 from sigmatail.audit import build_report
-from sigmatail.gauss import (
-    events_per_year, gauss_tail, gauss_tail_asymptotic, gauss_tail_exact,
-    gauss_tail_paper_appendix, sigma_for_period,
-)
+from sigmatail.gauss import events_per_year, gauss_tail, sigma_for_period
 from sigmatail.magnitude import format_sci, from_real, parse, pow_int
 from sigmatail.scales import lottery_equivalent, order_gap
 from sigmatail.studentt import TDistSpec, gap_vs_gaussian
@@ -109,8 +106,8 @@ def test_criterion_5a_dual_path_agreement():
     start = time.perf_counter()
     worst = 0.0
     for k in [9.0, 9.1, 9.2, 9.3, 9.4, 9.5]:
-        le = gauss_tail_exact(k).probability.log10_value
-        la = gauss_tail_asymptotic(k).probability.log10_value
+        le = gauss_tail(k, mode="exact").probability.log10_value
+        la = gauss_tail(k, mode="asymptotic").probability.log10_value
         worst = max(worst, abs(10.0 ** (le - la) - 1.0))
     elapsed = time.perf_counter() - start
     _report(
@@ -136,8 +133,8 @@ def test_criterion_5b_fixed_four_term_agreement():
     start = time.perf_counter()
     gaps = {}
     for k in [10.0, 12.0, 15.0, 18.0, 20.0, 25.0, 50.0, 100.0]:
-        lf = gauss_tail_paper_appendix(k).probability.log10_value
-        la = gauss_tail_asymptotic(k).probability.log10_value
+        lf = gauss_tail(k, mode="paper_appendix").probability.log10_value
+        la = gauss_tail(k, mode="asymptotic").probability.log10_value
         gaps[k] = 10.0 ** (lf - la) - 1.0
     elapsed = time.perf_counter() - start
     worst_gap = 0.0

@@ -532,22 +532,21 @@ class TestFlagEvents:
     def test_two_sigma_count_near_expected(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
-        flagged, observed = flag_events(s, m, 2.0, "loss")
-        assert observed == len(flagged)
-        assert 0.7 <= observed / 227.5 <= 1.3
+        flagged = flag_events(s, m, 2.0, "loss")
+        assert isinstance(flagged, list)
+        assert 0.7 <= len(flagged) / 227.5 <= 1.3
 
     def test_threshold_above_max_empty(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
-        flagged, observed = flag_events(s, m, 30.0, "loss")
-        assert flagged == [] and observed == 0
+        assert flag_events(s, m, 30.0, "loss") == []
 
     def test_injected_deep_loss_flagged_despite_contamination(self, standard_normal_10k):
         vals = standard_normal_10k.copy()
         vals[5000] = -25.0
         s = make_series(vals)
         m = estimate_moments(s)
-        flagged, _ = flag_events(s, m, 20.0, "loss")
+        flagged = flag_events(s, m, 20.0, "loss")
         assert [f.date for f in flagged] == [s.dates[5000].tolist()]
         # estimator contamination shrinks the score below the raw -25
         assert -25.0 < flagged[0].sigma_score <= -20.0
@@ -556,15 +555,14 @@ class TestFlagEvents:
         vals = np.concatenate([np.zeros(15), np.ones(15), [8.0], [-8.0]])
         s = make_series(vals)
         m = estimate_moments(s)
-        flagged, observed = flag_events(s, m, 3.0, "loss")
-        assert observed == 1 and flagged[0].sigma_score < 0
-        flagged_both, observed_both = flag_events(s, m, 3.0, "both")
-        assert observed_both == 2
+        flagged = flag_events(s, m, 3.0, "loss")
+        assert len(flagged) == 1 and flagged[0].sigma_score < 0
+        assert len(flag_events(s, m, 3.0, "both")) == 2
 
     def test_scores_rounded_to_4_decimals(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
-        flagged, _ = flag_events(s, m, 2.0, "loss")
+        flagged = flag_events(s, m, 2.0, "loss")
         for f in flagged:
             assert f.sigma_score == round(f.sigma_score, 4)
 

@@ -191,6 +191,14 @@ class TestStreak:
     def test_invalid_days(self):
         assert run_cli(["streak", "25", "--days", "0"])[0] == 3
 
+    def test_percent_power_overflow_leaves_stdout_empty(self):
+        # 0.5**7e14 fits the log10 range but the percent form 50**7e14 does
+        # not: the command fails before printing either line
+        code, out, err = run_cli(["streak", "0", "--days", "700000000000000"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: exponent out of supported range")
+
 
 class TestLottery:
     def test_true_25_sigma(self):

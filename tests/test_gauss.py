@@ -9,10 +9,8 @@ from conftest import tail_log10_oracle
 from sigmatail import gauss
 from sigmatail.errors import DomainError
 from sigmatail.gauss import (
-    SeriesDiagnostics, TailQuery, TailResult, evaluate, events_per_year,
-    gauss_tail, gauss_tail_asymptotic, gauss_tail_exact,
-    gauss_tail_paper_appendix, occurrence_days, occurrence_years,
-    sigma_for_period, streak_probability,
+    SeriesDiagnostics, TailResult, events_per_year, gauss_tail, occurrence_days,
+    occurrence_years, sigma_for_period, streak_probability,
 )
 from sigmatail.magnitude import ONE, ZERO, Magnitude, from_real, parse
 
@@ -51,24 +49,24 @@ LOG10_TAIL = {
 class TestExactPath:
     @pytest.mark.parametrize("k,expected", sorted(TAIL_CHECKPOINTS.items()))
     def test_oracle_checkpoints(self, k, expected):
-        p = gauss_tail_exact(k).probability.as_float()
+        p = gauss_tail(k, mode="exact").probability.as_float()
         assert p == pytest.approx(float(expected), rel=1e-12)
 
     def test_k0_is_exactly_half(self):
-        assert gauss_tail_exact(0.0).probability == from_real(0.5)
+        assert gauss_tail(0.0, mode="exact").probability == from_real(0.5)
 
     def test_two_sigma_figures(self):
-        r = gauss_tail_exact(2.0)
+        r = gauss_tail(2.0, mode="exact")
         assert r.percent.as_float() == pytest.approx(2.2750131948, rel=1e-9)
         assert r.occurrence_days.as_float() == pytest.approx(43.9557890159857, rel=1e-10)
 
     def test_three_sigma_figures(self):
-        r = gauss_tail_exact(3.0)
+        r = gauss_tail(3.0, mode="exact")
         assert r.probability.as_float() == pytest.approx(1.3498980316e-3, rel=1e-9)
         assert r.occurrence_days.as_float() == pytest.approx(740.796694689918, rel=1e-10)
 
     def test_diagnostics(self):
-        d = gauss_tail_exact(2.0).diagnostics
+        d = gauss_tail(2.0, mode="exact").diagnostics
         assert d == SeriesDiagnostics(
             path="exact", y=2.0 / math.sqrt(2.0), terms_used=0,
             truncation_bound=0.0)
@@ -76,23 +74,23 @@ class TestExactPath:
     @pytest.mark.parametrize("bad", [-0.5, 9.6, math.inf, math.nan])
     def test_range(self, bad):
         with pytest.raises(DomainError):
-            gauss_tail_exact(bad)
+            gauss_tail(bad, mode="exact")
 
 
 class TestAsymptoticPath:
     @pytest.mark.parametrize("k,log10p", sorted(LOG10_TAIL.items()))
     def test_high_sigma_log10(self, k, log10p):
-        got = gauss_tail_asymptotic(k).probability.log10_value
+        got = gauss_tail(k, mode="asymptotic").probability.log10_value
         assert got == pytest.approx(log10p, abs=1e-12)
 
     def test_table_row_25(self):
-        r = gauss_tail_asymptotic(25.0)
+        r = gauss_tail(25.0, mode="asymptotic")
         assert r.percent.format(4) == "3.057e-136"
         assert r.occurrence_years.format(4) == "1.309e+135"
 
     @pytest.mark.parametrize("k", [9.0, 12.3, 50.0, 137.0, 500.0, 1500.0, 3000.0])
     def test_relative_error_within_1e9(self, k):
-        got = gauss_tail_asymptotic(k).probability.log10_value
+        got = gauss_tail(k, mode="asymptotic").probability.log10_value
         dlog10 = abs(got - float(tail_log10_oracle(k)))
         assert dlog10 * math.log(10.0) <= 1e-9
 
@@ -100,13 +98,13 @@ class TestAsymptoticPath:
     def test_faithful_rounding_at_extreme_k(self, k):
         # beyond k ~ 3e3 a double log10 cannot resolve 1e-9 relative; the
         # computed value must still sit within 2 ulp of the true log10
-        got = gauss_tail_asymptotic(k).probability.log10_value
+        got = gauss_tail(k, mode="asymptotic").probability.log10_value
         dlog10 = abs(got - float(tail_log10_oracle(k)))
         assert dlog10 <= 2.0 * math.ulp(abs(got))
 
     def test_truncation_bound_small_beyond_9(self):
         for k in [9.0, 9.5, 10.0, 25.0, 100.0]:
-            d = gauss_tail_asymptotic(k).diagnostics
+            d = gauss_tail(k, mode="asymptotic").diagnostics
             assert d.truncation_bound <= 1e-12
             assert d.terms_used >= 2
             assert d.y == k / math.sqrt(2.0)
@@ -116,7 +114,7 @@ class TestAsymptoticPath:
         # observed deviation also carries ~1 ulp of log10 representation
         # noise, which the bound cannot see, so it is floored out
         for k in [10.0, 15.0, 20.0, 25.0]:
-            r = gauss_tail_asymptotic(k)
+            r = gauss_tail(k, mode="asymptotic")
             dlog10 = abs(r.probability.log10_value - float(tail_log10_oracle(k)))
             rel_dev = dlog10 * math.log(10.0)
             float_floor = 2.0 * math.ulp(abs(r.probability.log10_value)) * math.log(10.0)
@@ -125,44 +123,44 @@ class TestAsymptoticPath:
     @pytest.mark.parametrize("bad", [7.9, -1.0, 1.1e6, math.nan])
     def test_range(self, bad):
         with pytest.raises(DomainError):
-            gauss_tail_asymptotic(bad)
+            gauss_tail(bad, mode="asymptotic")
 
 
 class TestPaperAppendixPath:
     def test_k25_percent(self):
-        r = gauss_tail_paper_appendix(25.0)
+        r = gauss_tail(25.0, mode="paper_appendix")
         assert r.percent.format(4) == "3.057e-136"
         # printed figure, numeric comparison
         assert abs(r.percent.log10_value - parse("3.0570e-136").log10_value) < 1e-4
 
     def test_k10_percent(self):
         # frozen from the 60-digit evaluation of the fixed four-term formula
-        r = gauss_tail_paper_appendix(10.0)
+        r = gauss_tail(10.0, mode="paper_appendix")
         assert r.percent.as_float() == pytest.approx(7.62007643901e-22, rel=1e-10)
 
     def test_gap_vs_production_at_k10(self):
         # the non-alternating cubic sign shifts the result by ~30/k^6
-        gap = (gauss_tail_paper_appendix(10.0).probability.log10_value
-               - gauss_tail_asymptotic(10.0).probability.log10_value)
+        gap = (gauss_tail(10.0, mode="paper_appendix").probability.log10_value
+               - gauss_tail(10.0, mode="asymptotic").probability.log10_value)
         rel = 10.0 ** gap - 1.0
         assert rel == pytest.approx(2.93201e-5, rel=1e-3)
 
     def test_gap_shrinks_with_k(self):
         gaps = []
         for k in [10.0, 15.0, 25.0, 50.0]:
-            d = (gauss_tail_paper_appendix(k).probability.log10_value
-                 - gauss_tail_asymptotic(k).probability.log10_value)
+            d = (gauss_tail(k, mode="paper_appendix").probability.log10_value
+                 - gauss_tail(k, mode="asymptotic").probability.log10_value)
             gaps.append(abs(d))
         assert gaps == sorted(gaps, reverse=True)
 
     def test_diagnostics(self):
-        d = gauss_tail_paper_appendix(25.0).diagnostics
+        d = gauss_tail(25.0, mode="paper_appendix").diagnostics
         assert d.path == "paper_appendix"
         assert d.terms_used == 4
 
     def test_range(self):
         with pytest.raises(DomainError):
-            gauss_tail_paper_appendix(7.0)
+            gauss_tail(7.0, mode="paper_appendix")
 
 
 class TestDispatch:
@@ -196,6 +194,24 @@ class TestDispatch:
         with pytest.raises(DomainError):
             gauss_tail(1.0000001e6)
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "asymptotic", "paper_appendix"])
+    def test_k_ceiling_named_in_every_mode(self, mode):
+        with pytest.raises(DomainError, match="exceeds the supported range"):
+            gauss_tail(1.1e6, mode=mode)
+
+    def test_check_order(self):
+        # k, the k ceiling, the mode name, days_per_year, then the mode's range
+        with pytest.raises(DomainError, match="exceeds the supported range"):
+            gauss_tail(2e6, mode="fast", days_per_year=0)
+        with pytest.raises(DomainError, match="^mode must be one of"):
+            gauss_tail(20.0, mode="fast", days_per_year=0)
+        with pytest.raises(DomainError, match="^days_per_year must be >= 1$"):
+            gauss_tail(20.0, mode="exact", days_per_year=0)
+        with pytest.raises(DomainError, match="^exact path covers 0 <= k <= 9.5; got 20"):
+            gauss_tail(20.0, mode="exact")
+        with pytest.raises(DomainError, match="^paper_appendix path covers 8 <= k <= 1e"):
+            gauss_tail(7.0, mode="paper_appendix")
+
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             gauss_tail(2.0, mode="fast")
@@ -206,29 +222,34 @@ class TestDispatch:
         with pytest.raises(DomainError, match="^k must be nonnegative$"):
             gauss_tail(k, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "asymptotic", "paper_appendix"])
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_k_rejected_in_every_mode(self, k, mode):
+        with pytest.raises(DomainError, match="^k must be a finite real$"):
+            gauss_tail(k, mode=mode)
+
     def test_negative_zero_is_zero(self):
         r = gauss_tail(-0.0)
         assert r.probability == gauss_tail(0.0).probability
         assert math.copysign(1.0, r.k) == -1.0 and r.diagnostics.path == "exact"
 
-    def test_query_evaluation(self):
-        q = TailQuery(k=2.0, days_per_year=250, mode="auto")
-        r = evaluate(q)
+    def test_keyword_evaluation(self):
+        r = gauss_tail(k=2.0, days_per_year=250, mode="auto")
         assert isinstance(r, TailResult)
         assert r.occurrence_days.as_float() == pytest.approx(43.9557890159857, rel=1e-10)
 
-    def test_query_validation(self):
+    def test_keyword_validation(self):
         with pytest.raises(DomainError):
-            TailQuery(k=-1.0)
+            gauss_tail(k=-1.0)
         with pytest.raises(DomainError):
-            TailQuery(k=2.0, days_per_year=0)
+            gauss_tail(k=2.0, days_per_year=0)
         with pytest.raises(DomainError):
-            TailQuery(k=2.0, mode="quick")
+            gauss_tail(k=2.0, mode="quick")
 
     def test_dual_path_agreement_in_overlap(self):
         for k in [9.0, 9.1, 9.2, 9.3, 9.4, 9.5]:
-            le = gauss_tail_exact(k).probability.log10_value
-            la = gauss_tail_asymptotic(k).probability.log10_value
+            le = gauss_tail(k, mode="exact").probability.log10_value
+            la = gauss_tail(k, mode="asymptotic").probability.log10_value
             assert abs(le - la) * math.log(10.0) <= 1e-9
 
 
@@ -380,7 +401,7 @@ def test_monotonicity_property_exact_path(k1, k2):
     if k1 == k2:
         return
     lo, hi = sorted([k1, k2])
-    assert gauss_tail_exact(lo).probability >= gauss_tail_exact(hi).probability
+    assert gauss_tail(lo, mode="exact").probability >= gauss_tail(hi, mode="exact").probability
 
 
 @given(st.floats(min_value=8.0, max_value=1e6), st.floats(min_value=8.0, max_value=1e6))
@@ -388,5 +409,5 @@ def test_monotonicity_property_asymptotic_path(k1, k2):
     if k1 == k2:
         return
     lo, hi = sorted([k1, k2])
-    assert (gauss_tail_asymptotic(lo).probability.log10_value
-            >= gauss_tail_asymptotic(hi).probability.log10_value)
+    assert (gauss_tail(lo, mode="asymptotic").probability.log10_value
+            >= gauss_tail(hi, mode="asymptotic").probability.log10_value)

@@ -1,8 +1,10 @@
 """numpy loads only for the command that uses it, and scipy for none.
 
 Each check runs in a fresh interpreter, since this test process has
-imported numpy already."""
+imported numpy already.  The package's public names resolve, and so do the
+ones the benchmark harness hooks by name."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 import sigmatail
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # prints the numpy and scipy modules loaded by the code that precedes it
 _REPORT = ("import sys; print(sorted(m for m in sys.modules "
@@ -94,3 +97,18 @@ def test_lazy_names_come_from_their_modules():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sigmatail.no_such_name  # noqa: B018
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/tracer.py wraps these attributes by name, and perfbench/run.py
+    # reads _kernels.kernel_choice; a rename here would break the traced
+    # benchmark while every other test passes
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = tracer.package_modules()
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracer.TARGETS
+               if not callable(getattr(modules[mod], attr, None))]
+    assert missing == []
+    assert callable(modules["_kernels"].kernel_choice)

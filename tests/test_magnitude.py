@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from sigmatail import magnitude as mg
 from sigmatail.errors import DomainError, ParseError
 from sigmatail.magnitude import (
-    Magnitude, ONE, ZERO, compare, div, format_sci, from_log10, from_real,
-    from_sci, mul, parse, pow_int, recip,
+    Magnitude, ONE, ZERO, format_sci, from_real, from_sci, parse, pow_int,
 )
 
 # frozen from a 60-digit log10 oracle
@@ -58,10 +57,23 @@ class TestFromSci:
         with pytest.raises(DomainError):
             from_sci(1.0, 10 ** 16)
 
+    @pytest.mark.parametrize("exponent", [2.5, 3.0, True, "3", None])
+    def test_exponent_must_be_int(self, exponent):
+        with pytest.raises(DomainError, match="^exponent must be an integer$"):
+            from_sci(1.0, exponent)
+
+    @pytest.mark.parametrize("mant", [True, False])
+    def test_bool_mantissa_rejected(self, mant):
+        with pytest.raises(DomainError, match="^mantissa must be a finite real$"):
+            from_sci(mant, 3)
+
+    def test_int_mantissa_accepted(self):
+        assert from_sci(2, 3) == from_real(2000.0)
+
 
 class TestArithmetic:
     def test_square_of_percent_figure(self):
-        sq = mul(parse("3.057e-136"), parse("3.057e-136"))
+        sq = parse("3.057e-136") * parse("3.057e-136")
         assert format_sci(sq, 4) == "9.345e-272"
 
     def test_lottery_power_21(self):
@@ -75,17 +87,17 @@ class TestArithmetic:
 
     def test_multiplicative_identity(self):
         x = parse("3.057e-138")
-        assert mul(x, from_real(1.0)) == x
+        assert x * from_real(1.0) == x
 
     def test_zero_absorbs(self):
-        assert mul(ZERO, parse("1e300")).is_zero
-        assert div(ZERO, ONE).is_zero
+        assert (ZERO * parse("1e300")).is_zero
+        assert (ZERO / ONE).is_zero
 
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
-            div(ONE, ZERO)
+            ONE / ZERO
         with pytest.raises(DomainError):
-            recip(ZERO)
+            ZERO.recip()
 
     def test_pow_of_zero(self):
         assert pow_int(ZERO, 3).is_zero
@@ -102,9 +114,11 @@ class TestArithmetic:
             pow_int(ONE, 2.5)
 
     def test_overflow_cap(self):
-        big = from_log10(9e14)
-        with pytest.raises(DomainError):
-            mul(big, big)
+        big = Magnitude(9e14)
+        with pytest.raises(DomainError, match="exponent out of supported range"):
+            big * big
+        with pytest.raises(DomainError, match="exponent out of supported range"):
+            big / big.recip()
 
     def test_operators(self):
         a, b = from_real(2.0), from_real(8.0)
@@ -117,21 +131,63 @@ class TestCompare:
         hi = parse("4.3980e-135")
         mid = parse("3.057e-138")
         lo = parse("1.7592e-141")
-        assert compare(hi, mid) > 0
-        assert compare(mid, lo) > 0
+        assert hi > mid
+        assert mid > lo
         assert hi > mid > lo
 
     def test_equal(self):
         x = parse("3.057e-138")
-        assert compare(x, x) == 0
+        assert x == x and x <= x and x >= x
+        assert not (x < x or x > x or x != x)
 
     def test_zero_below_everything(self):
         assert ZERO < parse("1e-900")
-        assert compare(ZERO, ZERO) == 0
+        assert ZERO == ZERO and not ZERO < ZERO
 
     def test_hashable(self):
         assert hash(parse("2e5")) == hash(parse("2e5"))
         assert len({ZERO, from_real(0.0), ONE}) == 2
+
+
+class TestOperators:
+    # pairs over zero/zero, zero/nonzero and nonzero values, including equal ones
+    VALUES = [ZERO, from_real(0.0), Magnitude(-300.0), parse("3.057e-138"), ONE,
+              from_real(1.0), Magnitude(1e14)]
+
+    @staticmethod
+    def _key(m):
+        return (not m.is_zero, m.log10_value)
+
+    @pytest.mark.parametrize("a", VALUES)
+    @pytest.mark.parametrize("b", VALUES)
+    def test_six_comparisons_follow_value_order(self, a, b):
+        ka, kb = self._key(a), self._key(b)
+        assert (a == b) == (ka == kb)
+        assert (a != b) == (ka != kb)
+        assert (a < b) == (ka < kb)
+        assert (a <= b) == (ka <= kb)
+        assert (a > b) == (ka > kb)
+        assert (a >= b) == (ka >= kb)
+
+    @pytest.mark.parametrize("op", [
+        lambda m: m * 2.0, lambda m: 2.0 * m, lambda m: m / 2.0, lambda m: 2.0 / m,
+        lambda m: m < 2.0, lambda m: m >= 2.0, lambda m: 2.0 < m,
+    ])
+    def test_float_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(from_real(3.0))
+
+    def test_float_is_never_equal(self):
+        assert from_real(1.0) != 1.0
+
+    def test_zero_divided_is_zero(self):
+        assert ZERO / parse("1e-300") is ZERO
+        assert ZERO / Magnitude(9e14) is ZERO
+
+    @pytest.mark.parametrize("x", [ZERO, ONE, parse("1e-300")])
+    def test_divide_by_zero_raises(self, x):
+        with pytest.raises(DomainError, match="^division by zero$"):
+            x / ZERO
 
 
 class TestFormat:
@@ -225,7 +281,7 @@ def test_mul_matches_real_arithmetic(a, b):
     direct = a * b
     if direct == 0.0 or math.isinf(direct):
         return
-    got = mul(from_real(a), from_real(b)).as_float()
+    got = (from_real(a) * from_real(b)).as_float()
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -234,7 +290,7 @@ def test_div_matches_real_arithmetic(a, b):
     direct = a / b
     if direct == 0.0 or math.isinf(direct):
         return
-    got = div(from_real(a), from_real(b)).as_float()
+    got = (from_real(a) / from_real(b)).as_float()
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -255,18 +311,18 @@ def test_pow_int_distributes_over_exponents(L, m, n):
     if m == 0 and n == 0:
         return
     lhs = pow_int(a, m + n).log10_value
-    rhs = mul(pow_int(a, m), pow_int(a, n)).log10_value
+    rhs = (pow_int(a, m) * pow_int(a, n)).log10_value
     assert math.isclose(lhs, rhs, rel_tol=4e-15, abs_tol=1e-280)
 
 
 @given(log10s, log10s, log10s)
 def test_compare_antisymmetric_and_transitive(x, y, z):
     a, b, c = Magnitude(x), Magnitude(y), Magnitude(z)
-    assert compare(a, b) == -compare(b, a)
+    assert (a < b) == (b > a) and (a <= b) == (b >= a) and (a == b) == (b == a)
     trio = sorted([a, b, c])
     assert trio[0] <= trio[1] <= trio[2]
-    if compare(a, b) <= 0 and compare(b, c) <= 0:
-        assert compare(a, c) <= 0
+    if a <= b and b <= c:
+        assert a <= c
 
 
 @given(st.floats(min_value=-1000.0, max_value=1000.0), st.integers(min_value=14, max_value=17))

@@ -148,6 +148,11 @@ class TestStudentTTail:
         with pytest.raises(DomainError):
             student_t_tail(math.nan, TDistSpec(3.0))
 
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_k_rejected(self, k):
+        with pytest.raises(DomainError, match="^k must be a finite real$"):
+            student_t_tail(k, TDistSpec(3.0))
+
 
 class TestGapVsGaussian:
     def test_nu3_at_25_exceeds_100_orders(self):
