@@ -45,9 +45,9 @@ __version__ = "0.1.0"
 # commands that never touch them never pay for them.
 _LAZY = {
     **dict.fromkeys(
-        ("AuditReport", "FlaggedDay", "Moments", "Series", "binomial_tail_at_least",
-         "build_report", "estimate_moments", "flag_events", "load_series",
-         "report_as_dict", "sigma_scores"),
+        ("AuditReport", "FlaggedDay", "FlaggedDays", "Moments", "Series",
+         "binomial_tail_at_least", "build_report", "estimate_moments", "flag_events",
+         "load_series", "report_as_dict", "report_json", "sigma_scores"),
         "audit",
     ),
     **dict.fromkeys(("TDistSpec", "gap_vs_gaussian", "student_t_tail"), "studentt"),
@@ -63,9 +63,9 @@ def __getattr__(name):
     return value
 
 __all__ = [
-    "AuditReport", "FlaggedDay", "Moments", "Series", "binomial_tail_at_least",
-    "build_report", "estimate_moments", "flag_events", "load_series",
-    "report_as_dict", "sigma_scores",
+    "AuditReport", "FlaggedDay", "FlaggedDays", "Moments", "Series",
+    "binomial_tail_at_least", "build_report", "estimate_moments", "flag_events",
+    "load_series", "report_as_dict", "report_json", "sigma_scores",
     "DomainError", "ParseError",
     "SeriesDiagnostics", "TailResult", "events_per_year", "gauss_tail",
     "occurrence_days", "occurrence_years", "sigma_for_period", "streak_probability",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, gauss
-from .errors import DomainError
+from .errors import DomainError, finite_real
 from .magnitude import Magnitude, from_real
 
 LN10 = math.log(10.0)
@@ -386,34 +387,81 @@ class FlaggedDay(NamedTuple):
     sigma_score: float
 
 
+@dataclass(frozen=True, eq=False)
+class FlaggedDays:
+    """The flagged days of an audit as two read-only columns of equal
+    length: ``dates`` (datetime64[D]) and ``scores`` (float64, rounded to 4
+    decimals).  Indexing with an int and iterating yield FlaggedDay items,
+    which are made only then; a slice is again FlaggedDays."""
+
+    dates: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FlaggedDays(self.dates[i], self.scores[i])
+        return FlaggedDay(self.dates[i].item(), float(self.scores[i]))
+
+    def __iter__(self):
+        return map(FlaggedDay, self.dates.tolist(), self.scores.tolist())
+
+
 def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
-    """(value - mean) / stdev per day; NaN where unscored."""
+    """(value - mean) / stdev per day; NaN where unscored, and +-inf where
+    the quotient overflows (a stdev near the bottom of the float range)."""
     x = series.values
     out = np.full(x.size, np.nan)
     m = moments.scored
-    out[m] = (x[m] - moments.mean[m]) / moments.stdev[m]
+    with np.errstate(over="ignore"):
+        out[m] = (x[m] - moments.mean[m]) / moments.stdev[m]
     return out
 
 
 def flag_events(series: Series, moments: Moments, threshold_k: float,
-                side: str = "loss") -> list[FlaggedDay]:
-    """Days whose sigma score breaches the threshold.
+                side: str = "loss") -> FlaggedDays:
+    """Days whose sigma score breaches the threshold, in date order.
 
     side="loss" flags score <= -k (losses only); side="both" flags
-    |score| >= k.  Scores are reported rounded to 4 decimals.
+    |score| >= k.  The days come back as two read-only columns, dates and
+    scores rounded to 4 decimals exactly as ``round(score, 4)``; no object
+    per day is made.
     """
-    if (isinstance(threshold_k, bool) or not isinstance(threshold_k, (int, float))
-            or not float(threshold_k) > 0.0):
-        raise DomainError("threshold_k must be positive")
+    bad_k = "threshold_k must be positive and finite"
+    k = finite_real(threshold_k, bad_k)
+    if not k > 0.0:
+        raise DomainError(bad_k)
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    k = float(threshold_k)
     scores = sigma_scores(series, moments)
     # unscored days have NaN scores, which compare False
     hit = (scores <= -k) if side == "loss" else (np.abs(scores) >= k)
     i = np.flatnonzero(hit)
-    return [FlaggedDay(d, round(s, 4))
-            for d, s in zip(series.dates[i].tolist(), scores[i].tolist())]
+    dates, rounded = series.dates[i], _round4(scores[i])
+    dates.flags.writeable = False
+    rounded.flags.writeable = False
+    return FlaggedDays(dates, rounded)
+
+
+def _round4(x: np.ndarray) -> np.ndarray:
+    """``round(v, 4)`` of each element, bit for bit.
+
+    round() gives the double nearest to n / 10**4, n the integer nearest to
+    the exact product v * 10**4 (ties to even).  With y = v * 1e4 rounded
+    and r = rint(y), r / 1e4 is that double, as r is an exact integer, unless
+    y is itself a half-integer: below 2**52 every half-integer is a double,
+    so none can lie strictly between the exact product and y, the double
+    nearest to it.  Those elements, and y not finite or at least 2**52, go
+    to round()."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = x * 1e4
+        r = np.rint(y)
+        hard = np.flatnonzero((np.abs(y - r) == 0.5) | ~(np.abs(y) < 2.0 ** 52))
+    out = r / 1e4
+    out[hard] = [round(v, 4) for v in x[hard].tolist()]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +583,7 @@ class AuditReport:
     window: int | None
     threshold_k: float
     side: str
-    flagged: list[FlaggedDay]
+    flagged: FlaggedDays
     expected_count: float
     observed_count: int
     p_value_at_least_observed: Magnitude
@@ -578,20 +626,64 @@ def build_report(series: Series, *, threshold_k: float, window: int | None = Non
 
 def report_as_dict(report: AuditReport) -> dict:
     """Stable machine-readable form; field names match AuditReport, and the
-    p-value travels as a mantissa/exponent10 pair so tiny values survive."""
+    p-value travels as a mantissa/exponent10 pair so tiny values survive.
+    It is read back from report_json, so the two cannot disagree."""
+    return json.loads(report_json(report))
+
+
+def report_json(report: AuditReport) -> str:
+    """The report as one line of JSON with sorted keys; each flagged day is
+    ``{"date": "YYYY-MM-DD", "sigma_score": score}``, the score in json's
+    float text.  The flagged days go from their columns to text in bulk: the
+    dates by calendar arithmetic, the scores by one json.dumps of the list."""
     mant, exp10 = report.p_value_at_least_observed.sci_parts()
-    return {
+    text = json.dumps({
         "n_days": report.n_days,
         "mean": report.mean,
         "stdev": report.stdev,
         "window": report.window,
         "threshold_k": report.threshold_k,
         "side": report.side,
-        "flagged": [
-            {"date": f.date.isoformat(), "sigma_score": f.sigma_score}
-            for f in report.flagged
-        ],
+        "flagged": [],
         "expected_count": report.expected_count,
         "observed_count": report.observed_count,
         "p_value_at_least_observed": {"mantissa": mant, "exponent10": exp10},
-    }
+    }, sort_keys=True)
+    flagged = report.flagged
+    if not len(flagged):
+        return text
+    scores = json.dumps(flagged.scores.tolist())[1:-1].split(", ")
+    # date + '", "sigma_score": ' + score for each day, joined with the text
+    # between one day's score and the next day's date
+    days = '}, {"date": "'.join(map('", "sigma_score": '.join,
+                                    zip(_iso_dates(flagged.dates), scores)))
+    return text.replace('"flagged": []', f'"flagged": [{{"date": "{days}}}]', 1)
+
+
+# "00".."99", "-00-".."-12-" and "00  ".."31  " as little-endian words, so
+# that a day's "YYYY-MM-DD  " is three words: two pairs of year digits, then
+# the month's and the day's
+_TWO_DIGITS = np.frombuffer("".join(map("%02d".__mod__, range(100))).encode(),
+                            "<u2").astype("<u4")
+_MONTH_TEXT = np.frombuffer("".join(map("-%02d-".__mod__, range(13))).encode(), "<u4")
+_DAY_TEXT = np.frombuffer("".join(map("%02d  ".__mod__, range(32))).encode(), "<u4")
+
+
+def _iso_dates(days: np.ndarray) -> list[str]:
+    """``date.isoformat()`` of each datetime64[D] day in years 1..9999:
+    year, month and day by Hinnant's civil_from_days, written as ASCII into
+    one array and decoded once."""
+    z = days.view(np.int64) + 719468  # days since 0000-03-01
+    era = z // 146097  # 400-year eras
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1st
+    mp = (5 * doy + 2) // 153  # months from March
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = era * 400 + yoe + (month <= 2)
+    text = np.empty((days.size, 3), "<u4")
+    text[:, 0] = _TWO_DIGITS[year // 100] | _TWO_DIGITS[year % 100] << 16
+    text[:, 1] = _MONTH_TEXT[month]
+    text[:, 2] = _DAY_TEXT[day]
+    return text.tobytes().decode("ascii").split()

@@ -218,7 +218,7 @@ def _cmd_audit(args, out, err) -> int:
     )
     d = args.digits
     if args.format == "json":
-        print(json.dumps(audit_mod.report_as_dict(report), sort_keys=True), file=out)
+        print(audit_mod.report_json(report), file=out)
         return 0
     r = gauss.gauss_tail(report.threshold_k, days_per_year=args.dpy)
     print(f"source: {series.source_label}", file=out)

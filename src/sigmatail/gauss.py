@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, finite_real
 from .magnitude import Magnitude, from_real, pow_int
 
 SQRT2 = math.sqrt(2.0)
@@ -179,11 +179,10 @@ _LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)
 
 
 def _validate_k(k) -> float:
-    if isinstance(k, bool) or not (isinstance(k, (int, float)) and math.isfinite(float(k))):
-        raise DomainError("k must be a finite real")
+    k = finite_real(k, "k must be a finite real")
     if k < 0.0:  # -0.0 passes
         raise DomainError("k must be nonnegative")
-    return float(k)
+    return k
 
 
 def _validate_dpy(days_per_year) -> int:

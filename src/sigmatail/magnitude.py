@@ -17,7 +17,7 @@ import math
 import re
 from decimal import Decimal
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, finite_real
 
 # Exponent guard: far beyond anything composable from double inputs, but
 # finite so log10_value never degrades into inf/nan silently.
@@ -155,9 +155,7 @@ def from_real(v: float) -> Magnitude:
     """Lift an ordinary nonnegative float into the log10 domain."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DomainError(f"expected a real number, got {type(v).__name__}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise DomainError("value must be finite")
+    v = finite_real(v, "value must be finite")
     if v < 0.0:
         raise DomainError("negative values are not representable")
     if v == 0.0:
@@ -167,10 +165,7 @@ def from_real(v: float) -> Magnitude:
 
 def from_sci(mantissa: float, exponent: int) -> Magnitude:
     """Magnitude of mantissa * 10**exponent with mantissa in [1, 10)."""
-    if isinstance(mantissa, bool) or not (
-            isinstance(mantissa, (int, float)) and math.isfinite(float(mantissa))):
-        raise DomainError("mantissa must be a finite real")
-    mantissa = float(mantissa)
+    mantissa = finite_real(mantissa, "mantissa must be a finite real")
     if not 1.0 <= mantissa < 10.0:
         raise DomainError(f"mantissa {mantissa!r} outside [1, 10)")
     if isinstance(exponent, bool) or not isinstance(exponent, int):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import gauss, scales
-from .errors import DomainError
+from .errors import DomainError, finite_real
 from .magnitude import Magnitude, from_real
 
 LN10 = math.log(10.0)
@@ -42,14 +42,13 @@ class TDistSpec:
     standardized: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.nu, (int, float)) and math.isfinite(float(self.nu))):
-            raise DomainError("nu must be a finite real")
-        if float(self.nu) > MAX_NU:
+        nu = finite_real(self.nu, "nu must be a finite real")
+        if nu > MAX_NU:
             raise DomainError(f"nu must be at most {MAX_NU:g}")
         if self.standardized:
-            if float(self.nu) <= 2.0:
+            if nu <= 2.0:
                 raise DomainError("standardized mode needs nu > 2 (finite variance)")
-        elif float(self.nu) <= 0.0:
+        elif nu <= 0.0:
             raise DomainError("nu must be positive")
 
 
@@ -149,8 +148,8 @@ def gap_vs_gaussian(k: float, spec: TDistSpec) -> int:
 
     Restricted to the extreme regime k >= 8 where the comparison is the
     point of the exercise."""
-    if not (isinstance(k, (int, float)) and float(k) >= 8.0):
+    if not (isinstance(k, (int, float)) and k >= 8.0):
         raise DomainError("gap comparison is defined for k >= 8")
-    t_tail = student_t_tail(float(k), spec)
-    g_tail = gauss.gauss_tail(float(k)).probability
+    t_tail = student_t_tail(k, spec)
+    g_tail = gauss.gauss_tail(k).probability
     return scales.order_gap(t_tail, g_tail)

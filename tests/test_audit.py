@@ -1,22 +1,26 @@
 import csv
+import io
+import json
 import math
 import random
+import sys
 import time
 import tracemalloc
+import warnings
 from datetime import date, timedelta
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
-from sigmatail import _kernels, audit, gauss
+from sigmatail import _kernels, audit, cli, gauss
 from sigmatail.audit import (
-    AuditReport, FlaggedDay, Moments, Series, binomial_tail_at_least,
+    AuditReport, FlaggedDay, FlaggedDays, Moments, Series, binomial_tail_at_least,
     build_report, estimate_moments, flag_events, load_series, report_as_dict,
-    sigma_scores,
+    report_json, sigma_scores,
 )
 from sigmatail.errors import DomainError
 from sigmatail.magnitude import ONE, Magnitude, from_real, parse
@@ -533,13 +537,13 @@ class TestFlagEvents:
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
         flagged = flag_events(s, m, 2.0, "loss")
-        assert isinstance(flagged, list)
+        assert isinstance(flagged, FlaggedDays)
         assert 0.7 <= len(flagged) / 227.5 <= 1.3
 
     def test_threshold_above_max_empty(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
-        assert flag_events(s, m, 30.0, "loss") == []
+        assert list(flag_events(s, m, 30.0, "loss")) == []
 
     def test_injected_deep_loss_flagged_despite_contamination(self, standard_normal_10k):
         vals = standard_normal_10k.copy()
@@ -580,6 +584,28 @@ class TestFlagEvents:
             flag_events(s, estimate_moments(s), True, "loss")
         with pytest.raises(DomainError):
             build_report(s, threshold_k=True)
+
+    @pytest.mark.parametrize("k", [10 ** 400, math.inf], ids=["1e400", "inf"])
+    def test_threshold_beyond_float_range_rejected(self, standard_normal_10k, k):
+        s = make_series(standard_normal_10k[:100])
+        with pytest.raises(DomainError, match="^threshold_k must be positive and finite$"):
+            flag_events(s, estimate_moments(s), k, "loss")
+        with pytest.raises(DomainError, match="^threshold_k must be positive and finite$"):
+            build_report(s, threshold_k=k)
+
+    def test_columns_and_items(self, standard_normal_10k):
+        s = make_series(standard_normal_10k)
+        flagged = flag_events(s, estimate_moments(s), 2.0, "both")
+        assert flagged.dates.dtype == np.dtype("datetime64[D]")
+        assert flagged.scores.dtype == np.float64
+        assert not flagged.dates.flags.writeable and not flagged.scores.flags.writeable
+        items = list(flagged)
+        assert len(items) == len(flagged) > 0
+        assert items[0] == flagged[0] and items[-1] == flagged[-1]
+        assert isinstance(flagged[0], FlaggedDay)
+        assert isinstance(flagged[0].date, date) and type(flagged[0].sigma_score) is float
+        head = flagged[:20]
+        assert isinstance(head, FlaggedDays) and list(head) == items[:20]
 
 
 class TestBinomialTail:
@@ -736,3 +762,116 @@ class TestReportDict:
         blob = json.loads(json.dumps(report_as_dict(report)))
         pv = blob["p_value_at_least_observed"]
         assert pv["exponent10"] < -20
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+class TestRound4:
+    """audit._round4 against round(x, 4), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=2 ** 52 / 1e4, max_value=1e20),
+        st.integers(-2 ** 40, 2 ** 40).map(lambda j: (2 * j + 1) / 32),  # exact ties
+        st.integers(-10 ** 15, 10 ** 15).map(lambda j: (2 * j + 1) / 20000),  # near ties
+        st.integers(-10 ** 12, 10 ** 12).map(lambda j: math.nextafter((2 * j + 1) / 32, math.inf)),
+    ), max_size=50))
+    @example([0.03125, -0.03125, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              math.inf, -math.inf, 2 ** 52 / 1e4, -2 ** 52 / 1e4, 1e12, -1e12, 1.7e308,
+              2.00005, -2.00005, 0.00005, -0.00005])
+    def test_matches_round(self, xs):
+        x = np.array(xs, np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = audit._round4(x)
+        assert _bits(got) == _bits([round(v, 4) for v in xs])
+
+
+class TestIsoDates:
+    @pytest.mark.parametrize("year", [1, 4, 100, 400, 1900, 2000, 9999])
+    def test_every_day_of_year(self, year):
+        days = np.arange(np.datetime64(date(year, 1, 1), "D"),
+                         np.datetime64(date(year, 12, 31), "D") + 1)
+        assert audit._iso_dates(days) == [d.isoformat() for d in days.tolist()]
+
+
+def _reference_json(series: Series, window, threshold_k: float, side: str) -> str:
+    """The report text as it was built before the flagged days became
+    columns: round() and isoformat() per day, a list of dicts, one dumps."""
+    report = build_report(series, threshold_k=threshold_k, window=window, side=side)
+    scores = sigma_scores(series, estimate_moments(series, window))
+    hit = (scores <= -threshold_k) if side == "loss" else (np.abs(scores) >= threshold_k)
+    flagged = [{"date": d.isoformat(), "sigma_score": round(v, 4)}
+               for d, v in zip(series.dates[hit].tolist(), scores[hit].tolist())]
+    mant, exp10 = report.p_value_at_least_observed.sci_parts()
+    return json.dumps({
+        "n_days": report.n_days, "mean": report.mean, "stdev": report.stdev,
+        "window": report.window, "threshold_k": report.threshold_k, "side": report.side,
+        "flagged": flagged, "expected_count": report.expected_count,
+        "observed_count": report.observed_count,
+        "p_value_at_least_observed": {"mantissa": mant, "exponent10": exp10},
+    }, sort_keys=True)
+
+
+class TestReportJson:
+    def _check(self, series, window, threshold_k, side):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # zero-stdev days
+            report = build_report(series, threshold_k=threshold_k, window=window, side=side)
+            text = report_json(report)
+            expected = _reference_json(series, window, threshold_k, side)
+        assert text == expected
+        assert json.dumps(report_as_dict(report), sort_keys=True) == text
+        return json.loads(text)["flagged"]
+
+    def test_many_days(self, standard_normal_10k):
+        flagged = self._check(make_series(standard_normal_10k, start=date(1899, 12, 1)),
+                              250, 2.0, "both")
+        assert len(flagged) > 400
+
+    def test_no_flagged_days(self, standard_normal_10k):
+        assert self._check(make_series(standard_normal_10k), None, 30.0, "loss") == []
+
+    def test_infinite_score(self):
+        # the window's stdev is ~5e-161, so 1e150 scores beyond the float range
+        vals = np.array([1e-160, 0.0] * 10 + [1e150] + [0.0] * 30)
+        flagged = self._check(make_series(vals), 20, 2.0, "both")
+        assert flagged == [{"date": "1985-01-21", "sigma_score": math.inf}]
+
+    def test_negative_zero_score(self):
+        vals = np.array([1.0, -1.0] * 10 + [-1e-7] + [0.0] * 30)
+        flagged = self._check(make_series(vals), 20, 1e-9, "loss")
+        assert len(flagged) == 1 and math.copysign(1.0, flagged[0]["sigma_score"]) == -1.0
+
+
+def test_rolling_json_audit_makes_no_object_per_day(write_series_csv):
+    """A 1e5-row rolling JSON audit calls isoformat() for no day, and round()
+    only for the rows _round4 cannot settle from x * 1e4."""
+    rng = np.random.default_rng(7)
+    path = write_series_csv(rng.standard_normal(100_000))
+    args = ["audit", str(path), "--window", "250", "--threshold", "2", "--side", "both",
+            "--format", "json"]
+    calls = {"isoformat": 0, "round": 0}
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) in calls:
+            calls[arg.__name__] += 1
+
+    out = io.StringIO()
+    sys.setprofile(count)
+    try:
+        code = cli.main(args, out=out)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    series = load_series(path)
+    scores = sigma_scores(series, estimate_moments(series, 250))
+    y = scores[np.abs(scores) >= 2.0] * 1e4
+    fallback = np.count_nonzero((np.abs(y - np.rint(y)) == 0.5) | ~(np.abs(y) < 2.0 ** 52))
+    assert len(json.loads(out.getvalue())["flagged"]) > 4000
+    assert calls == {"isoformat": 0, "round": fallback}

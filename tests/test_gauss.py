@@ -228,6 +228,12 @@ class TestDispatch:
         with pytest.raises(DomainError, match="^k must be a finite real$"):
             gauss_tail(k, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "asymptotic", "paper_appendix"])
+    @pytest.mark.parametrize("k", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+    def test_int_k_beyond_float_range(self, k, mode):
+        with pytest.raises(DomainError, match="^k must be a finite real$"):
+            gauss_tail(k, mode=mode)
+
     def test_negative_zero_is_zero(self):
         r = gauss_tail(-0.0)
         assert r.probability == gauss_tail(0.0).probability

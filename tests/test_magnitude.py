@@ -35,6 +35,10 @@ class TestFromReal:
         with pytest.raises(DomainError):
             from_real("0.5")
 
+    def test_int_beyond_float_range(self):
+        with pytest.raises(DomainError, match="^value must be finite$"):
+            from_real(10 ** 400)
+
 
 class TestFromSci:
     def test_table_probability(self):
@@ -66,6 +70,10 @@ class TestFromSci:
     def test_bool_mantissa_rejected(self, mant):
         with pytest.raises(DomainError, match="^mantissa must be a finite real$"):
             from_sci(mant, 3)
+
+    def test_int_mantissa_beyond_float_range(self):
+        with pytest.raises(DomainError, match="^mantissa must be a finite real$"):
+            from_sci(10 ** 400, 3)
 
     def test_int_mantissa_accepted(self):
         assert from_sci(2, 3) == from_real(2000.0)

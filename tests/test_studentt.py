@@ -49,6 +49,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             TDistSpec(nu=math.inf)
 
+    @pytest.mark.parametrize("standardized", [True, False])
+    def test_int_nu_beyond_float_range(self, standardized):
+        with pytest.raises(DomainError, match="^nu must be a finite real$"):
+            TDistSpec(10 ** 400, standardized=standardized)
+
+    @pytest.mark.parametrize("nu", [True, False])
+    def test_bool_nu_rejected(self, nu):
+        with pytest.raises(DomainError, match="^nu must be a finite real$"):
+            TDistSpec(nu, standardized=False)
+
     def test_nu_at_most_1e300(self):
         TDistSpec(nu=1e300)
         for standardized in (True, False):
@@ -152,6 +162,12 @@ class TestStudentTTail:
     def test_bool_k_rejected(self, k):
         with pytest.raises(DomainError, match="^k must be a finite real$"):
             student_t_tail(k, TDistSpec(3.0))
+
+    def test_int_k_beyond_float_range(self):
+        with pytest.raises(DomainError, match="^k must be a finite real$"):
+            student_t_tail(10 ** 400, TDistSpec(3))
+        with pytest.raises(DomainError, match="^k must be a finite real$"):
+            gap_vs_gaussian(10 ** 400, TDistSpec(3))
 
 
 class TestGapVsGaussian:
