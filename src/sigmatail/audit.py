@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -33,9 +34,10 @@ MIN_WINDOW = 20
 _SIDES = ("loss", "both")
 
 
-# characters read per block: bounds the loader's working set on large files;
+# bytes read per block: bounds the loader's working set on large files;
 # larger blocks parsed no faster and left more freed heap resident
 _BLOCK_CHARS = 1 << 18
+_LINE_END = re.compile(rb"\r\n?|\n")  # as text mode ends lines
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # the range of datetime.date, which flagged days are reported as
@@ -57,15 +59,17 @@ _DATE_ZEROS = _word(b"0000-00-")  # XOR leaves the digits 0..9 and the dashes 0
 _DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
 _DAY_ZEROS = _word(b"00,")
 _DAY_MAX = _word(b"\x09\x09\x00")
-# calendar tables, indexed by the four year digits and the two month digits
+# calendar tables: by the four year digits, and by the two month digits plus
+# 100 in a leap year (year 0 counts as one, and Series rejects its dates)
 _YEARS = np.arange(10000)
-_LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
+_YEAR_ROW = 100 * ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0)))
 _DAYS_BEFORE_YEAR = ((_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100
                      + (_YEARS - 1) // 400)
-_MONTH_DAYS = np.zeros(100, np.int64)
-_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_DAYS_BEFORE_MONTH = np.zeros(100, np.int64)
-_DAYS_BEFORE_MONTH[1:13] = np.cumsum(_MONTH_DAYS[:12])
+_MONTH_DAYS = np.zeros((2, 100), np.int64)
+_MONTH_DAYS[:, 1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_MONTH_DAYS[1, 2] = 29
+_DAYS_BEFORE_MONTH = (np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS).ravel()
+_MONTH_DAYS = _MONTH_DAYS.ravel()
 
 # value cells of up to this many characters, three words, are parsed in
 # bulk; longer ones go to float()
@@ -81,12 +85,16 @@ _POW10_U64 = np.array([10 ** f if f < 20 else 2 ** 64 - 1 for f in range(_CELL_W
                       np.uint64)  # capped above every 19-digit integer
 # Clinger's fast path needs a long double whose significand holds every
 # mantissa below 1e19 and every 10**f below 10**_CELL_WIDTH exactly: x87
-# extended (64 bits) or IEEE quad (113 bits), not double or double-double
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+# extended (64 bits) or IEEE quad (113 bits), not double or double-double;
+# the midpoint test needs it in 16 bytes, the low 64 significand bits first
+_NMANT = np.finfo(np.longdouble).nmant
+_EXACT_LONG_DOUBLE = _NMANT in (63, 112) and np.longdouble(0).nbytes == 16 and np.little_endian
 _POW10 = np.cumprod(np.r_[1, np.full(_CELL_WIDTH - 1, 10)].astype(np.longdouble))
 _DIVISORS = np.concatenate([_POW10, -_POW10])  # 10**f at f, -10**f at _CELL_WIDTH + f
-# Veltkamp's factor, which splits a long double to 54 significant bits
-_SPLIT = np.longdouble(2.0 ** (np.finfo(np.longdouble).nmant + 1 - 54) + 1.0)
+# the significand bits of a long double below those of a double, and their
+# value at a midpoint between two doubles: a one, then zeros
+_BELOW_DOUBLE = np.uint64(2 ** (_NMANT - 52) - 1)
+_MIDPOINT = np.uint64(2 ** (_NMANT - 52) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,28 +139,42 @@ def load_series(path) -> Series:
     """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
 
     The file must be UTF-8; a byte-order mark is skipped.  Errors name the
-    first offending row (1-based, header is row 1).  The file is read in
-    blocks of whole lines; a block of plain ``YYYY-MM-DD,value`` lines is
-    parsed in bulk, and any other block (quoted fields, blank lines, a bad
-    row) row by row with ``csv``, which gives the same result or the same
-    error."""
+    first offending row (1-based, header is row 1).  The bytes are read in
+    blocks of whole lines, each line end made "\\n" as in text mode; a block
+    of plain ``YYYY-MM-DD,value`` lines is parsed in bulk, and any other
+    (quoted fields, blank lines, a bad row) is decoded and read row by row
+    with ``csv``.  Series alone checks that values are finite and dates
+    increase; a file that fails any check is read again row by row."""
+    try:
+        return Series(*_read_columns(path, bulk=True), source_label=str(path))
+    except DomainError as exc:
+        rejected = exc
+    _read_columns(path, bulk=False)  # raises at the first bad row
+    raise rejected
+
+
+def _read_columns(path, bulk: bool):
+    """(dates, values) of the rows: each block by _parse_block if ``bulk``,
+    and otherwise, or where that returns None, by _parse_rows."""
     day_blocks, value_blocks = [], []
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            header = fh.readline()
+        with open(path, "rb") as fh:
+            header = _rest_of_line(fh).removeprefix(b"\xef\xbb\xbf").decode()  # skip a BOM
             if not header:
                 raise DomainError(f"{path}: empty file")
             if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
-            while text := fh.read(_BLOCK_CHARS) + fh.readline():
-                block = _parse_block(text, last_day)
-                days, values = block or _parse_rows(path, text, first_row, last_day)
+            while block := fh.read(_BLOCK_CHARS) + _rest_of_line(fh):
+                if b"\r" in block:  # end the lines as text mode does
+                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                columns = bulk and _parse_block(block)
+                days, values = columns or _parse_rows(path, block.decode(), first_row, last_day)
                 if days.size:
                     day_blocks.append(days)
                     value_blocks.append(values)
                     last_day = int(days[-1])
-                first_row += days.size if block else text.count("\n")
+                first_row += days.size if columns else block.count(b"\n")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
@@ -165,47 +187,50 @@ def load_series(path) -> Series:
     days -= _EPOCH_ORDINAL
     values = np.concatenate(value_blocks)
     value_blocks.clear()
-    return Series(days.view("datetime64[D]"), values, source_label=str(path))
+    return days.view("datetime64[D]"), values
 
 
-def _parse_block(text: str, last_day: int):
-    """(day ordinals, values) of a block of text whose lines are all plain
-    ``YYYY-MM-DD,value`` rows that pass every check, dates after
-    ``last_day``; None for any other block.
+def _rest_of_line(fh) -> bytes:
+    """The bytes of the binary file ``fh`` to the end of the line, "\\n",
+    "\\r\\n" or a lone "\\r" as in text mode, found in its look-ahead buffer:
+    a file of lone-"\\r" lines is never read whole."""
+    line = bytearray()
+    while (ahead := fh.peek()) and not (end := _LINE_END.search(ahead)):
+        line += fh.read(len(ahead))
+    line += fh.read(end.end() if ahead else 0)
+    # a "\r" that ended the buffer may be the first half of a "\r\n"
+    return bytes(line + fh.read(line.endswith(b"\r") and fh.peek(1).startswith(b"\n")))
 
-    The block is parsed as one array of bytes, padded in front so that every
-    line has _CELL_WIDTH bytes before its newline."""
-    if not text.isascii():
-        return None
-    raw = np.frombuffer(b"\n" * _CELL_WIDTH + text.encode() + b"\n" * (not text.endswith("\n")),
-                        np.uint8)
-    ends = np.flatnonzero(raw[_CELL_WIDTH:] == ord("\n")) + _CELL_WIDTH
-    starts = np.empty_like(ends)
-    starts[0] = _CELL_WIDTH
-    starts[1:] = ends[:-1] + 1
+
+def _parse_block(block: bytes):
+    """(day ordinals, values) of a block of bytes whose lines all have the
+    syntax of plain ``YYYY-MM-DD,value`` rows; None for any other block.
+
+    The block is parsed as one array of bytes, padded so that every line has
+    _CELL_WIDTH bytes before its newline and 16 from its start."""
+    raw = np.frombuffer(b"\n" * _CELL_WIDTH + block + b"\n" * (not block.endswith(b"\n"))
+                        + bytes(8), np.uint8)
+    ends = np.flatnonzero(raw[_CELL_WIDTH:-8] == ord("\n")) + _CELL_WIDTH
+    starts = np.r_[_CELL_WIDTH, ends[:-1] + 1]
     width = ends - starts - len("YYYY-MM-DD,")  # of each value cell
-    if width.min() < 1:
-        return None
-    days = _day_ordinals(raw, starts)
-    if days is None or days[0] <= last_day or np.any(days[1:] <= days[:-1]):
+    if width.min() < 1 or (days := _day_ordinals(raw, starts)) is None:
         return None
     values, slow = _decimal_values(raw, ends, width)
     slow = np.flatnonzero(slow)
-    stops = ends[slow] - _CELL_WIDTH  # in text
-    cells = [text[a:b] for a, b in zip((stops - width[slow]).tolist(), stops.tolist())]
+    stops = ends[slow] - _CELL_WIDTH  # in block
     try:
-        values[slow] = list(map(float, cells))
+        values[slow] = [float(block[a:b]) for a, b in zip((stops - width[slow]).tolist(),
+                                                          stops.tolist())]
     except ValueError:
-        return None
-    if not np.all(np.isfinite(values[slow])):
         return None
     return days, values
 
 
-def _words(raw: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The 8 bytes of ``raw`` from each offset, as a little-endian word: the
-    first byte is the low byte."""
-    return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))[offsets]
+def _words(raw: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` little-endian 8-byte words of ``raw`` from each offset,
+    the first byte the low byte: the j-th word of every offset in row j."""
+    rows = np.ndarray((raw.size + 1 - 8 * count,), f"V{8 * count}", raw, strides=(1,))[offsets]
+    return rows.view("<u8").reshape(-1, count).T.copy()
 
 
 def _over(words: np.ndarray, limits: np.uint64) -> np.ndarray:
@@ -219,29 +244,30 @@ def _zero_bytes(words: np.ndarray) -> np.ndarray:
     return ~(((words & _LOW_BITS) + _LOW_BITS) | words | _LOW_BITS) >> np.uint64(7)
 
 
-def _eight_digits(words: np.ndarray) -> np.ndarray:
+def _digits(words: np.ndarray, steps: int = 3) -> np.ndarray:
     """The numbers that words of eight digit values 0..9 spell, the low byte
     the most significant digit: pairs, fours, then eights of digits are
-    combined in all the words at once."""
-    words = (words * np.uint64(10) + (words >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-    words = (words * np.uint64(100) + (words >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-    return (words * np.uint64(10000) + (words >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+    joined in all the words at once; after 1 or 2 steps, 2 or 4 digits."""
+    for n, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))[:steps]:
+        words = (words * np.uint64(10 ** n) + (words >> np.uint64(8 * n))) & np.uint64(mask)
+    return words
 
 
 def _day_ordinals(raw: np.ndarray, starts: np.ndarray):
     """The ``date.toordinal`` of the ``YYYY-MM-DD,`` at each start in
-    ``raw``; None unless every one is a valid date so written."""
-    ymd = _words(raw, starts) ^ _DATE_ZEROS  # "YYYY-MM-"
-    dd = (_words(raw, starts + 3) >> np.uint64(40)) ^ _DAY_ZEROS  # "DD,"
+    ``raw``, from year 0 on; None unless every one is a date so written."""
+    ymd, dd = _words(raw, starts, 2)
+    ymd ^= _DATE_ZEROS  # "YYYY-MM-"
+    dd = (dd & np.uint64(0xFFFFFF)) ^ _DAY_ZEROS  # "DD,"
     if np.any(_over(ymd, _DATE_MAX) | _over(dd, _DAY_MAX)):
         return None
-    yyyy0mm0 = _eight_digits(ymd).astype(np.int64)
-    year, month = yyyy0mm0 // 10000, yyyy0mm0 % 10000 // 10
-    day = ((dd & np.uint64(0xFF)) * np.uint64(10) + (dd >> np.uint64(8))).astype(np.int64)
-    leap = _LEAP[year]
-    if not np.all((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))):
+    ym = _digits(ymd, 2).view(np.int64)  # the year, then 10 times the month
+    year = ym & 0xFFFF
+    month = _YEAR_ROW[year] + (ym >> 32) // 10
+    day = (_digits(dd, 1) & np.uint64(0xFF)).view(np.int64)
+    if not np.all((day >= 1) & (day <= _MONTH_DAYS[month])):
         return None
-    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + day
 
 
 def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
@@ -257,22 +283,23 @@ def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
     float(cell), which rounds the exact quotient once, unless the long
     double lies exactly halfway between two doubles: a midpoint has 54
     significant bits, so is itself a long double, and none can lie between
-    the quotient and the long double nearest to it.  Those rows are left to
-    float() too."""
+    the quotient and the long double nearest to it.  Those rows, told by
+    the long double's significand bits below a double's, are left to float()
+    too.  Every quotient is 0 or at least 1e-23, so none is subnormal."""
     w = _CELL_WIDTH
     neg = raw[ends - width] == ord("-")
     lead = w - np.minimum(width, w) + neg  # column of the first character after the sign
     dots = after = bad = 0
     eights = []
-    for j in range(3):
-        word = _words(raw, ends - w + 8 * j) ^ np.uint64(ord("0") * _BYTES)
+    for j, word in enumerate(_words(raw, ends - w, 3)):
+        word ^= np.uint64(ord("0") * _BYTES)
         keep = _KEEP[j][lead]
         dot = _zero_bytes(word ^ np.uint64(0x1E * _BYTES)) & keep  # "." is "0" ^ 0x1E
         word &= keep & ~(dot * np.uint64(0xFF))
         dots = dots + ((dot * np.uint64(_BYTES)) >> np.uint64(56))
         after = after + ((dot * _COLUMNS_AFTER[j]) >> np.uint64(56))
         bad = bad | _over(word, np.uint64(9 * _BYTES))
-        eights.append(_eight_digits(word))
+        eights.append(_digits(word))
     # the digits with the dot read as 0, below 1e19 if the first eight are
     # below 1000: s = 10 m - 9 r, r the part after the dot
     s = (eights[0] * np.uint64(10 ** 8) + eights[1]) * np.uint64(10 ** 8) + eights[2]
@@ -284,8 +311,7 @@ def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
     if _EXACT_LONG_DOUBLE:
         q = m.astype(np.longdouble) / _DIVISORS[f + w * neg]
         values = q.astype(np.float64)
-        c = q * _SPLIT
-        slow |= (c - (c - q) == q) & (values != q)  # 54 significant bits, not 53
+        slow |= (q.view(np.uint64)[::2] & _BELOW_DOUBLE) == _MIDPOINT
     else:
         values = np.zeros(m.size)
         slow[:] = True
@@ -357,8 +383,8 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
             raise DomainError(
                 f"full-sample moments need >= {MIN_FULL_SAMPLE} observations, got {n}"
             )
-        means = np.full(n, sample_mean)
-        stds = np.full(n, sample_stdev)
+        means = np.broadcast_to(sample_mean, n)
+        stds = np.broadcast_to(sample_stdev, n)
         scored = np.full(n, True)
     else:
         if isinstance(window, bool) or not isinstance(window, int):

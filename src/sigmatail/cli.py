@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 from . import gauss, scales
 from .errors import DomainError, ParseError
@@ -213,9 +214,12 @@ def _cmd_audit(args, out, err) -> int:
     from . import audit as audit_mod  # loads numpy: only this command pays for it
 
     series = audit_mod.load_series(args.file)
-    report = audit_mod.build_report(
-        series, threshold_k=args.threshold, window=args.window, side=args.side,
-    )
+    with warnings.catch_warnings(record=True) as caught:  # such as zero-stdev days
+        warnings.simplefilter("always")
+        report = audit_mod.build_report(series, threshold_k=args.threshold,
+                                        window=args.window, side=args.side)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=err)
     d = args.digits
     if args.format == "json":
         print(audit_mod.report_json(report), file=out)

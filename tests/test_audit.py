@@ -292,13 +292,93 @@ class TestLoaderDifferential:
         blocks = []
         parse_block = audit._parse_block
         monkeypatch.setattr(audit, "_parse_block",
-                            lambda text, last_day: blocks.append(text) or parse_block(text, last_day))
+                            lambda block: blocks.append(block.decode()) or parse_block(block))
         path = tmp_path / "s.csv"
         path.write_text(_differential_text(name, block_chars))
         _outcome(_columns, path)
         row = DIFFERENTIAL_FILES[name][0]
         first = blocks[1].split("\n", 1)[0]
         assert first == (blocks[0].splitlines()[-1] if row == "dup" else row)
+
+
+def _no_fallback(monkeypatch):
+    monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
+
+
+def _cell_file(path, n, newline="\n", prefix=b""):
+    rng = np.random.default_rng(11)
+    cells = map(repr, (rng.standard_normal(n) * 0.01).tolist())
+    rows = [f"{date(1800, 1, 1) + timedelta(days=i)},{c}" for i, c in enumerate(cells)]
+    path.write_bytes(prefix + newline.join(["date,value", *rows, ""]).encode())
+
+
+class TestBytesLoader:
+    """The loader reads bytes: line ends as text mode reads them, a BOM, the
+    bulk path on CRLF files, and the row-by-row re-read of a file that
+    Series rejects."""
+
+    def test_lone_cr_file_read_in_blocks(self, tmp_path):
+        # a file without "\n" is still read a block at a time
+        path = tmp_path / "s.csv"
+        _cell_file(path, 100_000, newline="\r")
+        assert _outcome(_columns, path) == _outcome(reference_load_series, path)
+        tracemalloc.start()
+        try:
+            s = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 100_000
+        assert peak <= 2.5 * (s.dates.nbytes + s.values.nbytes)
+
+    def test_crlf_file_stays_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        _cell_file(path, 100_000, newline="\r\n")
+        want = _outcome(reference_load_series, path)
+        _no_fallback(monkeypatch)
+        assert _outcome(_columns, path) == want
+
+    def test_bom_file_stays_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        _cell_file(path, 1000, prefix=b"\xef\xbb\xbf")
+        _no_fallback(monkeypatch)
+        assert len(load_series(path)) == 1000
+
+    def test_not_utf8_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
+        path = tmp_path / "s.csv"
+        rows = _daily_rows(40)
+        rows[30] = rows[30][:11] + "1\udce9"
+        path.write_bytes("\n".join(["date,value", *rows, ""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DomainError) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
+    @pytest.mark.parametrize("bad", ["inf", "1e400", "nan", "backwards"])
+    def test_rejected_by_series_names_the_row(self, tmp_path, monkeypatch, bad):
+        # every block passes the bulk parser, so only Series can reject the
+        # file; the row-by-row re-read then names row 32
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
+        path = tmp_path / "s.csv"
+        rows = _daily_rows(40)
+        rows[30] = "1999-12-31,1" if bad == "backwards" else f"{rows[30][:10]},{bad}"
+        path.write_text("\n".join(["date,value", *rows, ""]))
+        parse_block, bulk = audit._parse_block, []
+        monkeypatch.setattr(audit, "_parse_block", lambda b: bulk.append(parse_block(b)) or bulk[-1])
+        with pytest.raises(DomainError, match="row 32: ") as exc:
+            load_series(path)
+        assert None not in bulk
+        assert str(exc.value) == _outcome(reference_load_series, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary().map(lambda b: bytes(b"a\r\n"[c % 3] for c in b)),
+           buffer_size=st.integers(1, 9))
+    def test_lines_end_as_in_text_mode(self, data, buffer_size):
+        fh = io.BufferedReader(io.BytesIO(data), buffer_size=buffer_size)
+        lines = []
+        while line := audit._rest_of_line(fh):
+            lines.append(line.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode())
+        assert lines == io.TextIOWrapper(io.BytesIO(data), newline=None).readlines()
 
 
 def _write_cells(path, cells, start=date(2000, 1, 1)):
@@ -309,6 +389,13 @@ def _write_cells(path, cells, start=date(2000, 1, 1)):
 
 def _bits(values):
     return np.asarray(values, np.float64).view(np.int64)
+
+
+# cells whose long double quotient m / 10**f lies halfway between two
+# doubles: exactly (2**53 + 1, 2**52 + 1/2, -(2**53 + 1), 2**54 + 2), or, on
+# x87, after rounding to 64 bits (the last two)
+_MIDPOINT_CELLS = ["9007199254740993", "4503599627370496.5", "-9007199254740993.0",
+                   "18014398509481986", "0.004421418633654283", "-0.02500582813493968"]
 
 
 @st.composite
@@ -341,7 +428,9 @@ class TestBulkParser:
 
     @pytest.mark.parametrize("long_double", [True, False])
     @settings(max_examples=150, deadline=None)
-    @given(cells=st.lists(_decimal_cells(), min_size=1, max_size=40))
+    @given(cells=st.lists(_decimal_cells() | st.sampled_from(_MIDPOINT_CELLS), min_size=1,
+                          max_size=40))
+    @example(cells=_MIDPOINT_CELLS)
     def test_decimal_text_as_float(self, csv_path, long_double, cells):
         _write_cells(csv_path, cells)
         with mock.patch.object(audit, "_EXACT_LONG_DOUBLE", audit._EXACT_LONG_DOUBLE and long_double), \
@@ -401,6 +490,22 @@ class TestBulkParser:
         assert calls == {"float": 0, "_parse_rows": 0}
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
+    @pytest.mark.skipif(not _EXACT_LONG_DOUBLE, reason="every row goes to float() here")
+    def test_exact_midpoints_go_to_float(self, tmp_path, monkeypatch):
+        # m / 10**f exactly halfway between two doubles, which the long
+        # double's low bits show, and cells next to them, which are doubles
+        # or round clear of a midpoint
+        midpoints = _MIDPOINT_CELLS[:4]
+        cells = [*midpoints, "9007199254740992", "9007199254740994", "4503599627370496.75",
+                 "4503599627370496.25", "-9007199254740992.0", "18014398509481987"]
+        path = tmp_path / "s.csv"
+        _write_cells(path, cells)
+        floats = []
+        monkeypatch.setattr(audit, "float", lambda c: floats.append(c) or float(c), raising=False)
+        values = load_series(path).values
+        assert floats == [c.encode() for c in midpoints]
+        assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
+
 
 class TestSeriesValidation:
     def test_rejects_non_dates(self):
@@ -425,6 +530,10 @@ class TestEstimateMoments:
         assert m.sample_stdev == pytest.approx(math.sqrt(30.0 / 29.0), rel=1e-14)
         assert m.scored.all()
         assert np.all(m.mean == m.sample_mean)
+        # one read-only scalar each, seen as n days
+        for column, value in ((m.mean, m.sample_mean), (m.stdev, m.sample_stdev)):
+            assert column.shape == (30,) and column.strides == (0,) and not column.flags.writeable
+            assert column[0] == value
 
     def test_full_sample_minimum_size(self):
         with pytest.raises(DomainError):

@@ -388,6 +388,23 @@ class TestAudit:
         b = run_cli(["audit", str(fixture_csv), "--threshold", "2"])
         assert a == b
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_zero_stdev_days_warn_on_one_line(self, tmp_path, fmt):
+        # days 41..50 see 20 trailing zeros
+        from sigmatail import audit
+
+        path = tmp_path / "flat.csv"
+        _write_fixture(path, np.r_[np.random.default_rng(5).standard_normal(21), np.zeros(30)])
+        code, out, err = run_cli(["audit", str(path), "--window", "20", "--format", fmt])
+        assert code == 0
+        assert err == "warning: 10 day(s) with zero stdev left unscored\n"
+        if fmt == "text":
+            assert out.startswith(f"source: {path}\nn_days: 51\n") and "warning" not in out
+            return
+        with pytest.warns(UserWarning, match="zero stdev"):
+            report = audit.build_report(audit.load_series(path), threshold_k=2.0, window=20)
+        assert out == audit.report_json(report) + "\n"
+
 
 class TestEnvironment:
     def test_env_days_per_year(self, monkeypatch):
