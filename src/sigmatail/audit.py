@@ -162,7 +162,11 @@ def _read_columns(path, bulk: bool):
             header = _rest_of_line(fh).removeprefix(b"\xef\xbb\xbf").decode()  # skip a BOM
             if not header:
                 raise DomainError(f"{path}: empty file")
-            if [c.strip().lower() for c in next(csv.reader([header]))] != ["date", "value"]:
+            try:
+                fields = next(csv.reader([header]))
+            except csv.Error:  # such as a field past csv.field_size_limit()
+                fields = []
+            if [c.strip().lower() for c in fields] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
             while block := fh.read(_BLOCK_CHARS) + _rest_of_line(fh):
@@ -326,30 +330,33 @@ def _parse_rows(path, text: str, first_row: int, last_day: int):
     # a record still open after the block's last line takes this extra line,
     # so it shows as spanning two lines
     reader = csv.reader(itertools.chain(lines, ["\n"] if lines[-1].endswith("\n") else []))
-    for rownum, row in zip(range(first_row, first_row + len(lines)), reader):
-        if reader.line_num != rownum - first_row + 1:
-            raise DomainError(f"{path}: row {rownum}: line break inside a quoted field")
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
-        try:
-            d = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
-        try:
-            v = float(row[1])
-        except ValueError:
-            raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
-        if not math.isfinite(v):
-            raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
-        if d.toordinal() <= last_day:
-            raise DomainError(
-                f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
-            )
-        last_day = d.toordinal()
-        days.append(last_day)
-        values.append(v)
+    try:
+        for rownum, row in zip(range(first_row, first_row + len(lines)), reader):
+            if reader.line_num != rownum - first_row + 1:
+                raise DomainError(f"{path}: row {rownum}: line break inside a quoted field")
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
+            try:
+                d = date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
+            try:
+                v = float(row[1])
+            except ValueError:
+                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
+            if not math.isfinite(v):
+                raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
+            if d.toordinal() <= last_day:
+                raise DomainError(
+                    f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
+                )
+            last_day = d.toordinal()
+            days.append(last_day)
+            values.append(v)
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise DomainError(f"{path}: row {first_row + reader.line_num - 1}: {exc}") from None
     return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
@@ -360,7 +367,6 @@ class Moments:
     mean: np.ndarray
     stdev: np.ndarray
     scored: np.ndarray  # bool; False where history is missing or stdev == 0
-    window: int | None
     sample_mean: float
     sample_stdev: float
 
@@ -405,7 +411,7 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
             stacklevel=2,
         )
         scored = scored & ~zero_std
-    return Moments(means, stds, scored, window, sample_mean, sample_stdev)
+    return Moments(means, stds, scored, sample_mean, sample_stdev)
 
 
 class FlaggedDay(NamedTuple):

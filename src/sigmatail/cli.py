@@ -75,23 +75,15 @@ def _cmd_prob(args, out, err) -> int:
     print(f"occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
     dg = r.diagnostics
     print(
-        f"diagnostics: path={dg.path} y={dg.y!r} terms_used={dg.terms_used} "
+        f"diagnostics: path={dg.path} y={r.k / gauss.SQRT2!r} terms_used={dg.terms_used} "
         f"truncation_bound={dg.truncation_bound:.3e}",
         file=err,
     )
     return 0
 
 
-def _table_rows(ks, days_per_year: int):
-    rows = []
-    for k in ks:
-        r = gauss.gauss_tail(k, mode="auto", days_per_year=days_per_year)
-        rows.append((k, r.percent, r.occurrence_days, r.occurrence_years))
-    return rows
-
-
 def _cmd_table(args, out, err) -> int:
-    rows = _table_rows(_parse_ks(args.ks), args.dpy)
+    results = [gauss.gauss_tail(k, days_per_year=args.dpy) for k in _parse_ks(args.ks)]
     d = args.digits
     header = ("k", "percent", "occurrence_days", "occurrence_years")
     if args.format == "json":
@@ -99,19 +91,20 @@ def _cmd_table(args, out, err) -> int:
             "days_per_year": args.dpy,
             "rows": [
                 {
-                    "k": k,
-                    "percent": _mag_json(pct),
-                    "occurrence_days": _mag_json(days),
-                    "occurrence_years": _mag_json(years),
+                    "k": r.k,
+                    "percent": _mag_json(r.percent),
+                    "occurrence_days": _mag_json(r.occurrence_days),
+                    "occurrence_years": _mag_json(r.occurrence_years),
                 }
-                for k, pct, days, years in rows
+                for r in results
             ],
         }
         print(json.dumps(payload, sort_keys=True), file=out)
         return 0
     text_rows = [
-        (_fmt_k(k), format_sci(pct, d), format_sci(days, d), format_sci(years, d))
-        for k, pct, days, years in rows
+        (_fmt_k(r.k), format_sci(r.percent, d), format_sci(r.occurrence_days, d),
+         format_sci(r.occurrence_years, d))
+        for r in results
     ]
     if args.format == "csv":
         print(",".join(header), file=out)
@@ -203,9 +196,10 @@ def _cmd_ttail(args, out, err) -> int:
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
+    # computed before anything is printed, so an error leaves stdout empty
+    gap = studentt.gap_vs_gaussian(args.k, spec) if args.k >= 8.0 else None
     print(f"t_tail: {format_sci(tail, d)}", file=out)
-    if args.k >= 8.0:
-        gap = studentt.gap_vs_gaussian(args.k, spec)
+    if gap is not None:
         print(f"gap_vs_gaussian: {gap}", file=out)
     return 0
 

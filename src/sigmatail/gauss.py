@@ -52,25 +52,33 @@ _HALF_LOG10E_LO = 5.491598251083825e-18
 _HALF_LOG10_2PI = 0.3990899341790575
 _LN10 = math.log(10.0)
 
-_MODES = ("exact", "asymptotic", "paper_appendix", "auto")
-
-
 @dataclass(frozen=True)
 class SeriesDiagnostics:
     path: str
-    y: float                  # k / sqrt(2), the erfc argument
     terms_used: int
     truncation_bound: float   # |first omitted term| / |partial sum| (0 on the exact path)
 
 
 @dataclass(frozen=True)
 class TailResult:
+    """What ``gauss_tail`` computes; ``percent`` and the periods derive from ``probability``."""
+
     k: float
     probability: Magnitude
-    percent: Magnitude
-    occurrence_days: Magnitude
-    occurrence_years: Magnitude
+    days_per_year: int
     diagnostics: SeriesDiagnostics
+
+    @property
+    def percent(self) -> Magnitude:
+        return self.probability * _HUNDRED
+
+    @property
+    def occurrence_days(self) -> Magnitude:
+        return occurrence_days(self.probability)
+
+    @property
+    def occurrence_years(self) -> Magnitude:
+        return occurrence_years(self.probability, self.days_per_year)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +171,28 @@ def _log10_tail_fixed4(k: float) -> tuple[float, int, float]:
     return _log10_tail(k, s4), 4, 105.0 * u ** 4 / s4
 
 
-def _log10_tail_erfc(k: float) -> float:
-    return math.log10(0.5 * math.erfc(k / SQRT2))
+def _log10_tail_erfc(k: float) -> tuple[float, int, float]:
+    return math.log10(0.5 * math.erfc(k / SQRT2)), 0, 0.0
 
 
-def _log10_tail_auto(k: float) -> float:
-    """Fast scalar log10 p used by the inverse, ``sigma_for_period``."""
-    if k <= AUTO_SWITCH_K:
-        return _log10_tail_erfc(k)
-    return _log10_tail_series(k)[0]
+# path: (log10 tail -> (log10 p, terms_used, truncation_bound), lowest k, highest k)
+_PATHS = {
+    "exact": (_log10_tail_erfc, 0.0, EXACT_MAX_K),
+    "asymptotic": (_log10_tail_series, ASYMPTOTIC_MIN_K, MAX_K),
+    "paper_appendix": (_log10_tail_fixed4, ASYMPTOTIC_MIN_K, MAX_K),
+}
+_MODES = (*_PATHS, "auto")
+
+
+def _log10_tail_auto(k: float) -> tuple[str, float, int, float]:
+    """(path, log10 p, terms_used, truncation_bound) on the path auto mode
+    takes: exact up to AUTO_SWITCH_K, asymptotic beyond."""
+    path = "exact" if k <= AUTO_SWITCH_K else "asymptotic"
+    return (path, *_PATHS[path][0](k))
 
 
 # log10 p at the top of the range: the longest period sigma_for_period inverts
-_LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)
+_LOG10_TAIL_AT_MAX_K = _log10_tail_auto(MAX_K)[1]
 
 
 def _validate_k(k) -> float:
@@ -196,19 +213,6 @@ def _validate_dpy(days_per_year) -> int:
 _HUNDRED = from_real(100.0)
 
 
-def _make_result(k: float, probability: Magnitude, days_per_year: int,
-                 diagnostics: SeriesDiagnostics) -> TailResult:
-    days = probability.recip()
-    return TailResult(
-        k=k,
-        probability=probability,
-        percent=probability * _HUNDRED,
-        occurrence_days=days,
-        occurrence_years=days / from_real(days_per_year),
-        diagnostics=diagnostics,
-    )
-
-
 def gauss_tail(k: float, *, mode: str = "auto",
                days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
     """Upper-tail probability of the standard normal at k, 0 <= k <= 1e6.
@@ -227,27 +231,17 @@ def gauss_tail(k: float, *, mode: str = "auto",
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     days_per_year = _validate_dpy(days_per_year)
-    path = mode
     if mode == "auto":
-        path = "exact" if k <= AUTO_SWITCH_K else "asymptotic"
-    if path == "exact":
-        if k > EXACT_MAX_K:
-            raise DomainError(
-                f"exact path covers 0 <= k <= {EXACT_MAX_K}; got {k:g} (use auto mode)"
-            )
-        probability = from_real(0.5 * math.erfc(k / SQRT2))
-        terms_used, bound = 0, 0.0
+        path, log10_p, terms_used, bound = _log10_tail_auto(k)
     else:
-        if k < ASYMPTOTIC_MIN_K:
-            raise DomainError(
-                f"{path} path covers {ASYMPTOTIC_MIN_K:g} <= k <= {MAX_K:g}; got {k:g}"
-            )
-        tail = _log10_tail_series if path == "asymptotic" else _log10_tail_fixed4
+        path = mode
+        tail, k_lo, k_hi = _PATHS[path]
+        if not k_lo <= k <= k_hi:  # only exact stops short of MAX_K, and auto goes on
+            raise DomainError(f"{path} path covers {k_lo:g} <= k <= {k_hi:g}; got {k:g}"
+                              + (" (use auto mode)" if k > k_hi else ""))
         log10_p, terms_used, bound = tail(k)
-        probability = Magnitude(log10_p)
-    diag = SeriesDiagnostics(path=path, y=k / SQRT2, terms_used=terms_used,
-                             truncation_bound=bound)
-    return _make_result(k, probability, days_per_year, diag)
+    return TailResult(k, Magnitude(log10_p), days_per_year,
+                      SeriesDiagnostics(path, terms_used, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +303,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     # concave, so the Newton steps then approach the root from above
     k = min(math.sqrt(max(-2.0 * target * _LN10, 1.0)), MAX_K)
     while True:
-        log10_p = _log10_tail_auto(k)
+        log10_p = _log10_tail_auto(k)[1]
         if log10_p > target:
             lo = k
         else:

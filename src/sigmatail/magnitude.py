@@ -219,7 +219,6 @@ def parse(text: str) -> Magnitude:
     if not m:
         raise ParseError(f"not a number: {text!r}")
     sign, mant_text, exp_text = m.groups()
-    exponent = int(exp_text) if exp_text else 0
     if not any(c in "123456789" for c in mant_text):
         return ZERO
     if sign == "-":
@@ -231,7 +230,9 @@ def parse(text: str) -> Magnitude:
         log10_mant = float(Decimal(mant_text).log10())
     else:
         log10_mant = math.log10(mant)
-    value = log10_mant + exponent
+    # float() reads an exponent of any length (one past the float range as
+    # +-inf, out of range below) and rounds it as a float + int sum would
+    value = log10_mant + (float(exp_text) if exp_text else 0.0)
     if abs(value) > LOG10_CAP:
         raise DomainError(f"exponent out of supported range in {text!r}")
     return Magnitude(value)

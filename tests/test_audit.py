@@ -73,6 +73,19 @@ class TestLoadSeries:
         with pytest.raises(DomainError, match="header"):
             load_series(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("date,value\n2007-08-09,1\n2007-08-10," + "1" * 200_000 + "\n",
+         "row 3: field larger than field limit"),
+        ("date,value\n2007-08-09,\"1" + "1" * 200_000 + "\"\n", "row 2: field larger"),
+        ("date," + "v" * 200_000 + "\n2007-08-09,1\n", "row 1: header must be 'date,value'"),
+    ], ids=["bulk-block", "rows-block", "header"])
+    def test_field_past_csv_limit_names_row(self, tmp_path, text, message):
+        # csv.field_size_limit() is process-wide, so the loader leaves it as it is
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=message):
+            load_series(path)
+
     def test_bad_value_names_row(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("date,value\n2007-08-09,1\n2007-08-10,oops\n")

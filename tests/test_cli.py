@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import subprocess
@@ -20,6 +21,60 @@ k,percent,occurrence_days,occurrence_years
 6,9.866e-8,1.014e+9,4.054e+6
 7,1.280e-10,7.814e+11,3.125e+9
 """
+
+
+# The prob stderr line for every (k, mode) the mode accepts; y is k / sqrt(2).
+DIAGNOSTICS_GOLDEN = {
+    ("-0", "exact"): "path=exact y=-0.0 terms_used=0 truncation_bound=0.000e+00",
+    ("0", "exact"): "path=exact y=0.0 terms_used=0 truncation_bound=0.000e+00",
+    ("2", "exact"): "path=exact y=1.414213562373095 terms_used=0 truncation_bound=0.000e+00",
+    ("8", "exact"): "path=exact y=5.65685424949238 terms_used=0 truncation_bound=0.000e+00",
+    ("9", "exact"): "path=exact y=6.363961030678928 terms_used=0 truncation_bound=0.000e+00",
+    ("9.5", "exact"): "path=exact y=6.717514421272201 terms_used=0 truncation_bound=0.000e+00",
+    ("8", "asymptotic"):
+        "path=asymptotic y=5.65685424949238 terms_used=33 truncation_bound=1.844e-14",
+    ("9", "asymptotic"):
+        "path=asymptotic y=6.363961030678928 terms_used=41 truncation_bound=3.696e-18",
+    ("9.5", "asymptotic"):
+        "path=asymptotic y=6.717514421272201 terms_used=29 truncation_bound=9.806e-19",
+    ("10", "asymptotic"):
+        "path=asymptotic y=7.071067811865475 terms_used=25 truncation_bound=5.901e-19",
+    ("25", "asymptotic"):
+        "path=asymptotic y=17.677669529663685 terms_used=10 truncation_bound=7.210e-20",
+    ("1e3", "asymptotic"):
+        "path=asymptotic y=707.1067811865474 terms_used=4 truncation_bound=1.050e-22",
+    ("1e6", "asymptotic"):
+        "path=asymptotic y=707106.7811865475 terms_used=2 truncation_bound=3.000e-24",
+    ("8", "paper_appendix"):
+        "path=paper_appendix y=5.65685424949238 terms_used=4 truncation_bound=6.353e-06",
+    ("9", "paper_appendix"):
+        "path=paper_appendix y=6.363961030678928 terms_used=4 truncation_bound=2.468e-06",
+    ("9.5", "paper_appendix"):
+        "path=paper_appendix y=6.717514421272201 terms_used=4 truncation_bound=1.600e-06",
+    ("10", "paper_appendix"):
+        "path=paper_appendix y=7.071067811865475 terms_used=4 truncation_bound=1.060e-06",
+    ("25", "paper_appendix"):
+        "path=paper_appendix y=17.677669529663685 terms_used=4 truncation_bound=6.892e-10",
+    ("1e3", "paper_appendix"):
+        "path=paper_appendix y=707.1067811865474 terms_used=4 truncation_bound=1.050e-22",
+    ("1e6", "paper_appendix"):
+        "path=paper_appendix y=707106.7811865475 terms_used=4 truncation_bound=1.050e-46",
+    ("-0", "auto"): "path=exact y=-0.0 terms_used=0 truncation_bound=0.000e+00",
+    ("0", "auto"): "path=exact y=0.0 terms_used=0 truncation_bound=0.000e+00",
+    ("2", "auto"): "path=exact y=1.414213562373095 terms_used=0 truncation_bound=0.000e+00",
+    ("8", "auto"): "path=exact y=5.65685424949238 terms_used=0 truncation_bound=0.000e+00",
+    ("9", "auto"): "path=exact y=6.363961030678928 terms_used=0 truncation_bound=0.000e+00",
+    ("9.5", "auto"):
+        "path=asymptotic y=6.717514421272201 terms_used=29 truncation_bound=9.806e-19",
+    ("10", "auto"):
+        "path=asymptotic y=7.071067811865475 terms_used=25 truncation_bound=5.901e-19",
+    ("25", "auto"):
+        "path=asymptotic y=17.677669529663685 terms_used=10 truncation_bound=7.210e-20",
+    ("1e3", "auto"):
+        "path=asymptotic y=707.1067811865474 terms_used=4 truncation_bound=1.050e-22",
+    ("1e6", "auto"):
+        "path=asymptotic y=707106.7811865475 terms_used=2 truncation_bound=3.000e-24",
+}
 
 
 def run_cli(argv):
@@ -94,6 +149,12 @@ class TestProb:
             "occurrence_years: 8.000e-3\n"
         )
         assert "path=exact y=-0.0" in err
+
+    @pytest.mark.parametrize("k, mode", sorted(DIAGNOSTICS_GOLDEN))
+    def test_diagnostics_line_golden(self, k, mode):
+        code, _, err = run_cli(["prob", "--mode", mode, "--", k])
+        assert code == 0
+        assert err == f"diagnostics: {DIAGNOSTICS_GOLDEN[k, mode]}\n"
 
 
 class TestTable:
@@ -293,6 +354,28 @@ class TestContext:
         assert "vs dog years (years)" in out
 
 
+HUGE_EXPONENT = "1e" + "9" * 400  # past the float range, not only LOG10_CAP
+
+
+class TestHugeExponent:
+    @pytest.mark.parametrize("argv", [
+        ["occurrence", "--p", HUGE_EXPONENT],
+        ["invert", "--years", HUGE_EXPONENT],
+        ["lottery", "--p", HUGE_EXPONENT],
+        ["lottery", "--p", "1e-5", "--win-prob", HUGE_EXPONENT],
+        ["context", "3", "--baseline-years", HUGE_EXPONENT],
+    ], ids=["occurrence-p", "invert-years", "lottery-p", "lottery-win-prob", "baseline-years"])
+    def test_one_error_line(self, argv):
+        message = f"error: exponent out of supported range in {HUGE_EXPONENT!r}\n"
+        assert run_cli(argv) == (3, "", message)
+
+    def test_refs_line(self, tmp_path):
+        refs = tmp_path / "refs.csv"
+        refs.write_text(f"# huge\nbig,years,1,{HUGE_EXPONENT}\n", encoding="utf-8")
+        message = f"error: {refs}: line 2: exponent out of supported range in {HUGE_EXPONENT!r}\n"
+        assert run_cli(["context", "3", "--refs", str(refs)]) == (3, "", message)
+
+
 class TestTtail:
     def test_standardized_nu3(self):
         code, out, _ = run_cli(["ttail", "25", "--nu", "3", "--standardized"])
@@ -308,6 +391,15 @@ class TestTtail:
 
     def test_invalid_nu(self):
         assert run_cli(["ttail", "2", "--nu", "2", "--standardized"])[0] == 3
+
+    def test_golden_bytes(self):
+        assert run_cli(["ttail", "25", "--nu", "3", "--standardized"]) == (
+            0, "t_tail: 1.356e-5\ngap_vs_gaussian: 132\n", "")
+
+    def test_gap_error_leaves_stdout_empty(self):
+        # the t tail at k = 2e6 exists, but the Gaussian tail of the gap does not
+        assert run_cli(["ttail", "2e6", "--nu", "3"]) == (
+            3, "", "error: k = 2e+06 exceeds the supported range (k <= 1e+06)\n")
 
 
 def _write_fixture(path, values, start=date(1985, 1, 1)):
@@ -334,6 +426,12 @@ class TestAudit:
         assert "expected_count: 45.5003" in out
         assert "p_value_at_least_observed:" in out
         assert "assume independent days" in out
+
+    def test_field_past_csv_limit_exit_3(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("date,value\n2000-01-03," + "1" * 200_000 + "\n", encoding="utf-8")
+        message = f"error: {path}: row 2: field larger than field limit ({csv.field_size_limit()})\n"
+        assert run_cli(["audit", str(path)]) == (3, "", message)
 
     def test_json_report(self, fixture_csv):
         code, out, _ = run_cli(["audit", str(fixture_csv), "--threshold", "3", "--format", "json"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,9 +68,7 @@ class TestExactPath:
 
     def test_diagnostics(self):
         d = gauss_tail(2.0, mode="exact").diagnostics
-        assert d == SeriesDiagnostics(
-            path="exact", y=2.0 / math.sqrt(2.0), terms_used=0,
-            truncation_bound=0.0)
+        assert d == SeriesDiagnostics(path="exact", terms_used=0, truncation_bound=0.0)
 
     @pytest.mark.parametrize("bad", [-0.5, 9.6, math.inf, math.nan])
     def test_range(self, bad):
@@ -107,7 +106,6 @@ class TestAsymptoticPath:
             d = gauss_tail(k, mode="asymptotic").diagnostics
             assert d.truncation_bound <= 1e-12
             assert d.terms_used >= 2
-            assert d.y == k / math.sqrt(2.0)
 
     def test_truncation_bound_covers_series_error(self):
         # the alternating-series bound dominates the truncation error; the
@@ -216,6 +214,20 @@ class TestDispatch:
         with pytest.raises(DomainError):
             gauss_tail(2.0, mode="fast")
 
+    @pytest.mark.parametrize("k, mode, message", [
+        (9.6, "exact", "exact path covers 0 <= k <= 9.5; got 9.6 (use auto mode)"),
+        (1e6, "exact", "exact path covers 0 <= k <= 9.5; got 1e+06 (use auto mode)"),
+        (7.0, "asymptotic", "asymptotic path covers 8 <= k <= 1e+06; got 7"),
+        (7.999, "paper_appendix", "paper_appendix path covers 8 <= k <= 1e+06; got 7.999"),
+        (2e6, "auto", "k = 2e+06 exceeds the supported range (k <= 1e+06)"),
+        (2.0, "fast", "mode must be one of ('exact', 'asymptotic', 'paper_appendix', 'auto'), "
+                      "got 'fast'"),
+    ])
+    def test_range_messages_in_full(self, k, mode, message):
+        with pytest.raises(DomainError) as exc:
+            gauss_tail(k, mode=mode)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("mode", ["auto", "exact", "asymptotic", "paper_appendix"])
     @pytest.mark.parametrize("k", [-3.0, -1])
     def test_negative_k_named_in_every_mode(self, k, mode):
@@ -272,6 +284,21 @@ class TestResultInvariants:
     def test_days_per_year_convention(self):
         r365 = gauss_tail(2.0, days_per_year=365)
         assert r365.occurrence_years.as_float() == pytest.approx(43.9557890159857 / 365, rel=1e-10)
+
+    def test_stores_only_what_gauss_tail_computes(self):
+        assert [f.name for f in dataclasses.fields(TailResult)] == [
+            "k", "probability", "days_per_year", "diagnostics"]
+        assert [f.name for f in dataclasses.fields(SeriesDiagnostics)] == [
+            "path", "terms_used", "truncation_bound"]
+        assert gauss_tail(2.0, days_per_year=365).days_per_year == 365
+
+    @given(st.floats(min_value=0.0, max_value=1e6), st.sampled_from([250, 252, 365]))
+    def test_periods_are_the_one_conversion(self, k, dpy):
+        r = gauss_tail(k, days_per_year=dpy)
+        p = r.probability
+        assert r.percent.log10_value == (p * from_real(100.0)).log10_value
+        assert r.occurrence_days.log10_value == occurrence_days(p).log10_value
+        assert r.occurrence_years.log10_value == occurrence_years(p, dpy).log10_value
 
 
 class TestConversions:

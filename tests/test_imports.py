@@ -112,3 +112,33 @@ def test_benchmark_hooks_resolve():
                if not callable(getattr(modules[mod], attr, None))]
     assert missing == []
     assert callable(modules["_kernels"].kernel_choice)
+
+
+def test_benchmark_info_hooks_read_real_results(tmp_path):
+    # each info hook in perfbench/tracer.py reads fields of its target's
+    # result (terms_used, log10_value, len, scored, observed_count): call it
+    # on a real one, so a renamed or dropped field fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = tracer.package_modules()
+    path = _audit_csv(tmp_path)
+    series = modules["audit"].load_series(path)
+    calls = {
+        "gauss.gauss_tail": (25.0,),
+        "studentt.student_t_tail": (25.0, modules["studentt"].TDistSpec(nu=3.0)),
+        "audit.load_series": (path,),
+        "audit.estimate_moments": (series,),
+        "audit.build_report": (series,),
+        "kernels.rolling_moments": (series.values, 20),
+    }
+    kwargs = {"audit.build_report": {"threshold_k": 1.0}}
+    hooked = {name: (mod, attr, info) for mod, attr, name, info in tracer.TARGETS
+              if info is not None}
+    assert hooked.keys() == calls.keys()
+    for name, (mod, attr, info) in hooked.items():
+        args = calls[name]
+        result = getattr(modules[mod], attr)(*args, **kwargs.get(name, {}))
+        counts = info(args, result)
+        assert counts and all(isinstance(v, int) for v in counts.values()), name

@@ -264,6 +264,18 @@ class TestParse:
         with pytest.raises(DomainError):
             parse("1e9999999999999999")
 
+    @pytest.mark.parametrize("text", ["1e" + "9" * 400, "2.5e-" + "9" * 400, "1e+" + "9" * 5000],
+                             ids=["400-digits", "negative", "5000-digits"])
+    def test_exponent_past_float_range(self, text):
+        # exponents past the float range, the last past the 4,300 digits int() reads
+        with pytest.raises(DomainError, match=r"^exponent out of supported range in '"):
+            parse(text)
+
+    def test_long_exponent_text(self):
+        assert parse("0e" + "9" * 400).is_zero
+        assert parse("0.0e-" + "9" * 5000).is_zero
+        assert parse("5e+" + "0" * 5000 + "7").log10_value == math.log10(5.0) + 7
+
 
 class TestAsFloat:
     def test_round_trip(self):
