@@ -20,39 +20,57 @@ def kernel_choice() -> str:
     return "numpy-blocked"
 
 
-def _window_sums(blocks: np.ndarray) -> np.ndarray:
-    """Sums of every ``w``-wide window that starts in one of the first
-    ``nb`` rows of ``blocks`` (shape ``(nb + 1, w)``), flattened."""
-    sums = np.empty((blocks.shape[0] - 1, blocks.shape[1]))
+def _window_sums(blocks: np.ndarray, out: np.ndarray, prefix: np.ndarray) -> None:
+    """Write into ``out`` (shape ``(nb, w)``) the sums of every ``w``-wide
+    window that starts in one of the first ``nb`` rows of ``blocks`` (shape
+    ``(nb + 1, w)``), row by row; ``prefix`` (shape ``(nb, w - 1)``) holds
+    the prefix sums on the way, and may be ``blocks[1:, :-1]`` itself."""
     # suffix sums as a reversed cumsum: a block total minus a prefix would
     # cancel large values that sit in the same block but outside the window
-    np.cumsum(blocks[:-1, ::-1], axis=1, out=sums[:, ::-1])
-    sums[:, 1:] += np.cumsum(blocks[1:, :-1], axis=1)
-    return sums.ravel()
+    np.cumsum(blocks[:-1, ::-1], axis=1, out=out[:, ::-1])
+    np.cumsum(blocks[1:, :-1], axis=1, out=prefix)
+    out[:, 1:] += prefix
 
 
 def rolling_moments(values, window: int):
     """Trailing-window mean and Bessel-corrected stdev per position.
 
     Position t describes values[t-window:t]; the first ``window`` entries
-    are NaN.  Callers should center ``values`` first if the data has a large
-    offset (the kernel sums raw squares)."""
+    are NaN.  The kernel sums squares of the values less the mean of the
+    first window: that centre conditions the sums of data with a large
+    offset, and no past window depends on a later value through it."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     w = int(window)
     if w < 2:
         raise DomainError("window must be at least 2")
     n = x.size
-    means = np.full(n, np.nan)
-    stds = np.full(n, np.nan)
     if n <= w:
-        return means, stds
+        return np.full(n, np.nan), np.full(n, np.nan)
+    center = float(np.mean(x[:w]))
     nb = -(-(n - w) // w)  # blocks in which a window starts
-    blocks = np.zeros((nb + 1) * w)
-    blocks[:n] = x
+    blocks = np.empty((nb + 1) * w)
+    np.subtract(x, center, out=blocks[:n])
+    blocks[n:] = 0.0
     blocks = blocks.reshape(nb + 1, w)
-    m = means[w:]
-    np.divide(_window_sums(blocks)[: n - w], w, out=m)
+    # Both outputs are written in place: the window that starts at s goes
+    # to position w + s, and those that run past the series to beyond n.
+    means = np.empty((nb + 1) * w)
+    stds = np.empty((nb + 1) * w)
+    means[:w] = stds[:w] = np.nan
+    m, v = means[w:n], stds[w:n]
+    # the prefix sums of the values go where the stds are written next, and
+    # those of the squares over the squares, which are read before
+    _window_sums(blocks, means[w:].reshape(nb, w), stds[w:].reshape(nb, w)[:, 1:])
+    m /= w
     blocks *= blocks
-    v = (_window_sums(blocks)[: n - w] - w * m * m) / (w - 1)
-    stds[w:] = np.sqrt(np.maximum(v, 0.0))
-    return means, stds
+    _window_sums(blocks, stds[w:].reshape(nb, w), blocks[1:, :-1])
+    # v = (sum of squares - w m m) / (w - 1), floored at 0 against rounding;
+    # w m m goes over the blocks, which are not read again
+    wmm = np.multiply(m, w, out=blocks.ravel()[: n - w])
+    wmm *= m
+    v -= wmm
+    v /= w - 1
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)
+    m += center
+    return means[:n], stds[:n]

@@ -397,11 +397,7 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
             raise DomainError("window must be an integer or None")
         if window < MIN_WINDOW:
             raise DomainError(f"rolling window must be >= {MIN_WINDOW}, got {window}")
-        # center for conditioning; taken from the first window only so past
-        # scores never depend on future values, not even in the last ulp
-        center = float(np.mean(x[: min(n, window)])) if n else 0.0
-        means_c, stds = _kernels.rolling_moments(x - center, window)
-        means = means_c + center
+        means, stds = _kernels.rolling_moments(x, window)
         scored = ~np.isnan(stds)
 
     zero_std = scored & (stds == 0.0)
@@ -444,11 +440,12 @@ class FlaggedDays:
 def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
     """(value - mean) / stdev per day; NaN where unscored, and +-inf where
     the quotient overflows (a stdev near the bottom of the float range)."""
-    x = series.values
-    out = np.full(x.size, np.nan)
-    m = moments.scored
-    with np.errstate(over="ignore"):
-        out[m] = (x[m] - moments.mean[m]) / moments.stdev[m]
+    # every day is divided, unscored ones too (their stdev may be NaN or 0),
+    # and then set to NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.subtract(series.values, moments.mean)
+        out /= moments.stdev
+    out[~moments.scored] = np.nan
     return out
 
 
@@ -666,8 +663,8 @@ def report_as_dict(report: AuditReport) -> dict:
 def report_json(report: AuditReport) -> str:
     """The report as one line of JSON with sorted keys; each flagged day is
     ``{"date": "YYYY-MM-DD", "sigma_score": score}``, the score in json's
-    float text.  The flagged days go from their columns to text in bulk: the
-    dates by calendar arithmetic, the scores by one json.dumps of the list."""
+    float text.  The flagged days are written as one matrix of bytes, a row
+    per day, and decoded once."""
     mant, exp10 = report.p_value_at_least_observed.sci_parts()
     text = json.dumps({
         "n_days": report.n_days,
@@ -681,15 +678,76 @@ def report_json(report: AuditReport) -> str:
         "observed_count": report.observed_count,
         "p_value_at_least_observed": {"mantissa": mant, "exponent10": exp10},
     }, sort_keys=True)
-    flagged = report.flagged
-    if not len(flagged):
+    if not len(report.flagged):
         return text
-    scores = json.dumps(flagged.scores.tolist())[1:-1].split(", ")
-    # date + '", "sigma_score": ' + score for each day, joined with the text
-    # between one day's score and the next day's date
-    days = '}, {"date": "'.join(map('", "sigma_score": '.join,
-                                    zip(_iso_dates(flagged.dates), scores)))
-    return text.replace('"flagged": []', f'"flagged": [{{"date": "{days}}}]', 1)
+    return text.replace('"flagged": []', f'"flagged": [{_flagged_text(report.flagged)}]', 1)
+
+
+# "0000".."9999" as little-endian words, and the digits of each that its
+# text keeps after a dot: up to the last nonzero one, and at least one
+_NUMBERS = np.arange(10000, dtype=np.int16)
+_FOUR_DIGITS = (_NUMBERS[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+                + ord("0")).astype(np.uint8).view("<u4").ravel()
+_FRACTION_DIGITS = 4 - sum(_NUMBERS % 10 ** j == 0 for j in (1, 2, 3))
+_TENS = 10 ** np.arange(1, 12)
+# a row: '{"date": "', the date, '", "sigma_score": ', the score field, '}, '
+_DATE_COLUMN = len('{"date": "')
+_SCORE_COLUMN = _DATE_COLUMN + len('YYYY-MM-DD", "sigma_score": ')
+_SCORE_WIDTH = 18  # "-", 12 digits below 2**52 / 1e4, ".", 4 digits
+
+
+def _flagged_text(flagged: FlaggedDays) -> str:
+    """The text between the brackets of ``json.dumps`` of the days as a list
+    of ``{"date": d.isoformat(), "sigma_score": v}`` dicts.
+
+    A score v whose |v| * 1e4 rounds to an integer n below 2**52 with
+    n / 1e4 == |v| is written as the decimal n / 10**4: the 4-digit groups
+    of n from a table, less the leading zeros of its integer part and the
+    trailing zeros of its fraction, one digit kept of each.  That is repr(v),
+    the shortest text that rounds to v: no other decimal of 15 digits or
+    fewer rounds to the same double as n / 10**4, and at 16 digits (|v| from
+    1e11) decimals of 4 places lie 1e-4 apart, more than the spacing of
+    doubles below 2**39, so no two of them round to one double.  Other
+    scores (not finite, larger, or not rounded to 4 places) keep json's
+    text, one by one."""
+    scores = flagged.scores
+    with np.errstate(invalid="ignore", over="ignore"):
+        n = np.rint(np.abs(scores) * 1e4)
+        slow = np.flatnonzero(~((n < 2.0 ** 52) & (n / 1e4 == np.abs(scores))))
+    texts = [json.dumps(v).encode() for v in scores[slow].tolist()]
+    width = max([_SCORE_WIDTH, *map(len, texts)])
+    n[slow] = 0.0
+    whole, fraction = np.divmod(n.astype(np.int64), 10_000)
+    rows = np.tile(np.frombuffer(b'{"date": "YYYY-MM-DD", "sigma_score": '
+                                 + b"0" * width + b"}, ", np.uint8), (len(flagged), 1))
+    rows[:, _DATE_COLUMN:_DATE_COLUMN + 10] = _iso_dates(flagged.dates)
+    digits = np.empty((len(flagged), 4), "<u4")  # four groups of 4 digits
+    for j, group in enumerate((whole // 10 ** 8, whole // 10 ** 4 % 10 ** 4,
+                               whole % 10 ** 4, fraction)):
+        digits[:, j] = _FOUR_DIGITS[group]
+    digits = digits.view(np.uint8)
+    field = rows[:, _SCORE_COLUMN:_SCORE_COLUMN + width]
+    field[:, 1:13] = digits[:, :12]
+    field[:, 13] = ord(".")
+    field[:, 14:18] = digits[:, 12:]
+    # the field keeps its columns start..stop-1: the sign just before the
+    # first digit of the integer part (which has one digit more than it has
+    # powers of ten from 10 up to it), the dot, and the fraction's digits
+    start = 11 - np.searchsorted(_TENS, whole, side="right")
+    negative = np.signbit(scores)
+    field[negative, start[negative]] = ord("-")
+    start += ~negative
+    stop = 14 + _FRACTION_DIGITS[fraction]
+    if texts:
+        field[slow] = np.frombuffer(b"".join(t.ljust(width) for t in texts),
+                                    np.uint8).reshape(-1, width)
+        start[slow], stop[slow] = 0, list(map(len, texts))
+    keep = np.ones(rows.shape, bool)
+    columns = np.arange(width)
+    keep[:, _SCORE_COLUMN:_SCORE_COLUMN + width] = ((columns >= start[:, None])
+                                                    & (columns < stop[:, None]))
+    keep[-1, -2:] = False  # the last day has no ", "
+    return rows[keep].tobytes().decode("ascii")
 
 
 # "00".."99", "-00-".."-12-" and "00  ".."31  " as little-endian words, so
@@ -701,10 +759,10 @@ _MONTH_TEXT = np.frombuffer("".join(map("-%02d-".__mod__, range(13))).encode(), 
 _DAY_TEXT = np.frombuffer("".join(map("%02d  ".__mod__, range(32))).encode(), "<u4")
 
 
-def _iso_dates(days: np.ndarray) -> list[str]:
-    """``date.isoformat()`` of each datetime64[D] day in years 1..9999:
-    year, month and day by Hinnant's civil_from_days, written as ASCII into
-    one array and decoded once."""
+def _iso_dates(days: np.ndarray) -> np.ndarray:
+    """``date.isoformat()`` of each datetime64[D] day in years 1..9999, as
+    a row of 10 ASCII bytes: year, month and day by Hinnant's
+    civil_from_days, written into one array."""
     z = days.view(np.int64) + 719468  # days since 0000-03-01
     era = z // 146097  # 400-year eras
     doe = z - era * 146097
@@ -718,4 +776,4 @@ def _iso_dates(days: np.ndarray) -> list[str]:
     text[:, 0] = _TWO_DIGITS[year // 100] | _TWO_DIGITS[year % 100] << 16
     text[:, 1] = _MONTH_TEXT[month]
     text[:, 2] = _DAY_TEXT[day]
-    return text.tobytes().decode("ascii").split()
+    return text.view(np.uint8)[:, :10]

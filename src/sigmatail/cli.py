@@ -197,7 +197,7 @@ def _cmd_ttail(args, out, err) -> int:
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
     # computed before anything is printed, so an error leaves stdout empty
-    gap = studentt.gap_vs_gaussian(args.k, spec) if args.k >= 8.0 else None
+    gap = scales.order_gap(tail, gauss.gauss_tail(args.k).probability) if args.k >= 8.0 else None
     print(f"t_tail: {format_sci(tail, d)}", file=out)
     if gap is not None:
         print(f"gap_vs_gaussian: {gap}", file=out)

@@ -284,7 +284,8 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     """Invert the occurrence mapping: the k whose expected-occurrence period
     equals ``years``.  Newton on log10 p(k) inside a shrinking [lo, hi]
     bracket on [0, 1e6], bisecting whenever a step leaves it; |dk| <= 1e-9.
-    Typically 4-5 tail evaluations."""
+    It takes 5 tail evaluations for periods below about 10**3.5 years, 4
+    below about 10**380, and 3 beyond."""
     days_per_year = _validate_dpy(days_per_year)
     if not isinstance(years, Magnitude):
         raise DomainError("years must be a Magnitude")

@@ -148,6 +148,25 @@ class TestLoadSeries:
         assert len(s) == 300_000
         assert peak <= 2.5 * (s.dates.nbytes + s.values.nbytes)
 
+    @pytest.mark.parametrize("stage, bound", [
+        (lambda s, m: estimate_moments(s, 250), 6.0),
+        (lambda s, m: flag_events(s, m, 2.0, "both"), 2.5),
+    ], ids=["estimate_moments", "flag_events"])
+    def test_peak_memory_after_a_load(self, stage, bound):
+        # the rolling moments are written in place and every day is scored
+        # unmasked, so each stage holds a few columns of n doubles at once
+        n = 100_000
+        s = make_series(np.random.default_rng(3).standard_normal(n) * 0.01)
+        moments = estimate_moments(s, 250)
+        stage(s, moments)  # the second call is measured
+        tracemalloc.start()
+        try:
+            stage(s, moments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n
+
 
 def reference_load_series(path):
     """The row-by-row ``csv`` loader that the block-wise one replaced, kept
@@ -918,7 +937,9 @@ class TestIsoDates:
     def test_every_day_of_year(self, year):
         days = np.arange(np.datetime64(date(year, 1, 1), "D"),
                          np.datetime64(date(year, 12, 31), "D") + 1)
-        assert audit._iso_dates(days) == [d.isoformat() for d in days.tolist()]
+        text = audit._iso_dates(days)
+        assert text.shape == (days.size, 10)
+        assert text.tobytes() == "".join(d.isoformat() for d in days.tolist()).encode()
 
 
 def _reference_json(series: Series, window, threshold_k: float, side: str) -> str:
@@ -969,6 +990,52 @@ class TestReportJson:
         vals = np.array([1.0, -1.0] * 10 + [-1e-7] + [0.0] * 30)
         flagged = self._check(make_series(vals), 20, 1e-9, "loss")
         assert len(flagged) == 1 and math.copysign(1.0, flagged[0]["sigma_score"]) == -1.0
+
+
+_SCORE_EDGES = [0.0, -0.0, 1e-4, -1e-4, 0.5, 1.0, -1.0, 10.25, -100.001, 1234.5,
+                 123456789012.0, 450359962737.0496, -450359962737.0496, 450359962737.0497,
+                 2 ** 52 / 1e4, math.nextafter(2 ** 52 / 1e4, 0.0), 999999999999.9999,
+                 math.inf, -math.inf, 1.7e308, -1.7e308, 2.00005, -2.00005, 0.00005]
+
+
+class TestFlaggedText:
+    """report_json, which writes the flagged days as a matrix of bytes,
+    against json.dumps of one dict per day, for scores as flag_events makes
+    them (rounded by _round4)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.dates(date(1, 1, 1), date(9999, 12, 31)),
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.floats(min_value=-1e4, max_value=1e4),
+            st.integers(-10 ** 16, 10 ** 16).map(lambda j: j / 1e4),  # 1-12 integer digits
+            st.integers(-10 ** 12, 10 ** 12).map(lambda j: j / 10),  # trailing zeros
+            st.integers(-10 ** 13, 10 ** 13).map(lambda j: j / 100),
+            st.integers(-2 ** 40, 2 ** 40).map(lambda j: (2 * j + 1) / 32),  # exact ties
+            st.integers(-10 ** 15, 10 ** 15).map(lambda j: (2 * j + 1) / 20000),  # near ties
+            st.floats(min_value=2 ** 52 / 1e4 * 0.999, max_value=2 ** 52 / 1e4 * 1.001),
+            st.sampled_from(_SCORE_EDGES)),
+    ), min_size=1, max_size=40))
+    @example([(date(1, 1, 1), v) for v in _SCORE_EDGES] + [(date(9999, 12, 31), -0.0)])
+    def test_matches_json_dumps(self, days):
+        dates = np.array([d for d, _ in days], "datetime64[D]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = audit._round4(np.array([v for _, v in days], np.float64))
+            report = AuditReport(n_days=len(days), mean=0.0, stdev=1.0, window=None,
+                                 threshold_k=2.0, side="both",
+                                 flagged=FlaggedDays(dates, scores), expected_count=1.0,
+                                 observed_count=len(days), p_value_at_least_observed=ONE)
+            text = report_json(report)
+        assert text == json.dumps({
+            "n_days": len(days), "mean": 0.0, "stdev": 1.0, "window": None,
+            "threshold_k": 2.0, "side": "both",
+            "flagged": [{"date": d.isoformat(), "sigma_score": v}
+                        for d, v in zip(dates.tolist(), scores.tolist())],
+            "expected_count": 1.0, "observed_count": len(days),
+            "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
+        }, sort_keys=True)
 
 
 def test_rolling_json_audit_makes_no_object_per_day(write_series_csv):

@@ -1,7 +1,10 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -396,6 +399,16 @@ class TestTtail:
         assert run_cli(["ttail", "25", "--nu", "3", "--standardized"]) == (
             0, "t_tail: 1.356e-5\ngap_vs_gaussian: 132\n", "")
 
+    def test_one_t_tail_per_call(self, monkeypatch):
+        from sigmatail import studentt
+
+        calls = []
+        real = studentt.student_t_tail
+        monkeypatch.setattr(studentt, "student_t_tail",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_cli(["ttail", "25", "--nu", "3"])[0] == 0
+        assert len(calls) == 1
+
     def test_gap_error_leaves_stdout_empty(self):
         # the t tail at k = 2e6 exists, but the Gaussian tail of the gap does not
         assert run_cli(["ttail", "2e6", "--nu", "3"]) == (
@@ -406,6 +419,25 @@ def _write_fixture(path, values, start=date(1985, 1, 1)):
     lines = ["date,value"]
     for i, v in enumerate(values):
         lines.append(f"{(start + timedelta(days=i)).isoformat()},{float(v)!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_golden_csv(path, seed=2011, rows=20_000):
+    """A P&L-like series built from ``random.Random(seed).random()`` with
+    +, -, *, / and sqrt alone, all correctly rounded, so that the file is the
+    same on every platform: two-sided Pareto innovations (tail index 2),
+    GARCH(1,1)-style clustered volatility, a stretch of 10x volatility, and
+    values written by repr, so that the small ones are in exponent form."""
+    rng = random.Random(seed)
+    var = 1e-4
+    lines = ["date,value"]
+    day = date(1990, 1, 1)
+    for i in range(rows):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        z = sign * (math.sqrt(1.0 / (1.0 - rng.random())) - 1.0)
+        sig = math.sqrt(var) * (10.0 if 12_000 <= i < 12_400 else 1.0)
+        lines.append(f"{(day + timedelta(days=i)).isoformat()},{2e-4 + sig * z!r}")
+        var = 2e-6 + 0.05 * var * min(z * z, 4.0) + 0.9 * var
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -485,6 +517,20 @@ class TestAudit:
         a = run_cli(["audit", str(fixture_csv), "--threshold", "2"])
         b = run_cli(["audit", str(fixture_csv), "--threshold", "2"])
         assert a == b
+
+    # sha256 of stdout for the golden CSV, read by its relative name
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--window", "250", "--threshold", "2", "--side", "both", "--format", "json"],
+         "4b77cb293589505d459b44ad01cba708bc06b2f5421dcdb15a15b5de19ff18f7"),
+        (["--threshold", "4", "--side", "loss"],
+         "3d7a17cf8bc3aa3dbfe690b87240749b0d904b3fdb235f9d0106b61f263b571f"),
+    ], ids=["rolling-json", "full-text"])
+    def test_stdout_golden(self, tmp_path, monkeypatch, argv, sha256):
+        monkeypatch.chdir(tmp_path)
+        _write_golden_csv(tmp_path / "golden.csv")
+        code, out, err = run_cli(["audit", "golden.csv", *argv])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_zero_stdev_days_warn_on_one_line(self, tmp_path, fmt):
