@@ -466,7 +466,9 @@ def flag_events(series: Series, moments: Moments, threshold_k: float,
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
     scores = sigma_scores(series, moments)
     # unscored days have NaN scores, which compare False
-    hit = (scores <= -k) if side == "loss" else (np.abs(scores) >= k)
+    hit = scores <= -k
+    if side == "both":
+        hit |= scores >= k
     i = np.flatnonzero(hit)
     dates, rounded = series.dates[i], _round4(scores[i])
     dates.flags.writeable = False

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -87,6 +86,8 @@ def _cmd_table(args, out, err) -> int:
     d = args.digits
     header = ("k", "percent", "occurrence_days", "occurrence_years")
     if args.format == "json":
+        import json
+
         payload = {
             "days_per_year": args.dpy,
             "rows": [
@@ -342,10 +343,7 @@ def main(argv=None, out=None, err=None) -> int:
         if dpy is not None and dpy < 1:
             raise DomainError("--dpy must be >= 1")
         return globals()["_cmd_" + args.command](args, out, err)
-    except (DomainError, ParseError) as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except OSError as exc:
+    except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 3
 

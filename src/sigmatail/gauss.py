@@ -259,20 +259,6 @@ def occurrence_years(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -
     return occurrence_days(p) / from_real(days_per_year)
 
 
-def events_per_year(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> float:
-    """Expected event count per year, as an ordinary float."""
-    days_per_year = _validate_dpy(days_per_year)
-    try:
-        value = p.as_float() * days_per_year
-    except DomainError as exc:
-        raise DomainError(
-            "expected count is not representable as a float; use occurrence_years"
-        ) from exc
-    if math.isinf(value):
-        raise DomainError("expected count overflows a float")
-    return value
-
-
 def streak_probability(p: Magnitude, m: int) -> Magnitude:
     """Probability of m independent consecutive occurrences: p**m."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:

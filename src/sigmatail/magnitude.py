@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from decimal import Decimal
 
 from .errors import DomainError, ParseError, finite_real
 
@@ -227,6 +226,8 @@ def parse(text: str) -> Magnitude:
     if mant == 0.0 or math.isinf(mant):
         # Digit strings beyond float range (hundreds of digits); Decimal
         # takes the log exactly enough.
+        from decimal import Decimal
+
         log10_mant = float(Decimal(mant_text).log10())
     else:
         log10_mant = math.log10(mant)

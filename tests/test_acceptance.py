@@ -14,7 +14,7 @@ from mpmath import mp
 from conftest import make_series, tail_oracle
 from sigmatail import cli, gauss
 from sigmatail.audit import build_report
-from sigmatail.gauss import events_per_year, gauss_tail, sigma_for_period
+from sigmatail.gauss import gauss_tail, sigma_for_period
 from sigmatail.magnitude import format_sci, from_real, parse, pow_int
 from sigmatail.scales import lottery_equivalent, order_gap
 from sigmatail.studentt import TDistSpec, gap_vs_gaussian
@@ -71,7 +71,7 @@ def test_criterion_3_worked_two_sigma_and_eight_sigma():
     r2 = gauss_tail(2.0)
     pct_err = abs(r2.percent.as_float() / 2.275 - 1.0)
     days_err = abs(r2.occurrence_days.as_float() / 43.956 - 1.0)
-    events = events_per_year(r2.probability, 250)
+    events = r2.probability.as_float() * 250
     r8 = gauss_tail(8.0)
     years8_err = abs(r8.occurrence_years.as_float() / 6.429e12 - 1.0)
     _report(

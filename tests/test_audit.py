@@ -150,8 +150,9 @@ class TestLoadSeries:
 
     @pytest.mark.parametrize("stage, bound", [
         (lambda s, m: estimate_moments(s, 250), 6.0),
-        (lambda s, m: flag_events(s, m, 2.0, "both"), 2.5),
-    ], ids=["estimate_moments", "flag_events"])
+        (lambda s, m: flag_events(s, m, 2.0, "both"), 1.6),
+        (lambda s, m: flag_events(s, m, 2.0, "loss"), 1.6),
+    ], ids=["estimate_moments", "flag_events", "flag_events_loss"])
     def test_peak_memory_after_a_load(self, stage, bound):
         # the rolling moments are written in place and every day is scored
         # unmasked, so each stage holds a few columns of n doubles at once

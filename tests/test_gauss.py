@@ -10,7 +10,7 @@ from conftest import tail_log10_oracle
 from sigmatail import gauss
 from sigmatail.errors import DomainError
 from sigmatail.gauss import (
-    SeriesDiagnostics, TailResult, events_per_year, gauss_tail, occurrence_days,
+    SeriesDiagnostics, TailResult, gauss_tail, occurrence_days,
     occurrence_years, sigma_for_period, streak_probability,
 )
 from sigmatail.magnitude import ONE, ZERO, Magnitude, from_real, parse
@@ -316,15 +316,6 @@ class TestConversions:
     def test_occurrence_zero(self):
         with pytest.raises(DomainError):
             occurrence_days(ZERO)
-
-    def test_events_per_year(self):
-        assert events_per_year(parse("0.02275"), 250) == pytest.approx(5.6875, rel=1e-12)
-        assert events_per_year(from_real(1.0 / 250.0), 250) == pytest.approx(1.0, rel=1e-12)
-        assert events_per_year(parse("0.00135"), 250) == pytest.approx(0.3375, rel=1e-12)
-
-    def test_events_per_year_unrepresentable(self):
-        with pytest.raises(DomainError):
-            events_per_year(parse("1e-400"), 250)
 
     def test_streak(self):
         p = parse("3.057e-136")

@@ -1,4 +1,6 @@
-"""numpy loads only for the command that uses it, and scipy for none.
+"""numpy loads only for the command that uses it, and scipy for none; a
+bare ``import sigmatail`` loads none of its submodules, and the CLI neither
+decimal nor json, each of which has one rare user.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -16,14 +18,12 @@ import sigmatail
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# prints the numpy and scipy modules loaded by the code that precedes it
-_REPORT = ("import sys; print(sorted(m for m in sys.modules "
-           "if m.partition('.')[0] in ('numpy', 'scipy')))")
 
-
-def _heavy_modules_after(code: str) -> str:
+def _loaded_after(code: str, roots=("numpy", "scipy")) -> str:
+    """The modules under ``roots`` that ``code`` leaves loaded, printed."""
+    report = f"import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] in {roots!r}))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{_REPORT}"],
+        [sys.executable, "-c", f"{code}\n{report}"],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
     )
@@ -36,11 +36,11 @@ def _cli(argv) -> str:
 
 
 def test_import_cli_loads_no_numpy_or_scipy():
-    assert _heavy_modules_after("import sigmatail.cli") == "[]"
+    assert _loaded_after("import sigmatail.cli") == "[]"
 
 
 def test_gauss_tail_loads_no_numpy_or_scipy():
-    assert _heavy_modules_after("import sigmatail; sigmatail.gauss_tail(25)") == "[]"
+    assert _loaded_after("import sigmatail; sigmatail.gauss_tail(25)") == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -54,7 +54,7 @@ def test_gauss_tail_loads_no_numpy_or_scipy():
     ["ttail", "25", "--nu", "3"],
 ], ids=lambda argv: argv[0])
 def test_math_only_commands_load_no_numpy_or_scipy(argv):
-    assert _heavy_modules_after(_cli(argv)) == "[]"
+    assert _loaded_after(_cli(argv)) == "[]"
 
 
 def _audit_csv(tmp_path) -> str:
@@ -64,9 +64,17 @@ def _audit_csv(tmp_path) -> str:
     return str(path)
 
 
+def test_bare_import_loads_no_submodule():
+    assert _loaded_after("import sigmatail", ("sigmatail",)) == "['sigmatail']"
+
+
+def test_import_cli_loads_no_decimal_or_json():
+    assert _loaded_after("import sigmatail.cli", ("decimal", "json")) == "[]"
+
+
 def test_audit_loads_numpy(tmp_path):
     # the control: the probe does see numpy once a command needs it
-    loaded = _heavy_modules_after(_cli(["audit", _audit_csv(tmp_path), "--threshold", "1"]))
+    loaded = _loaded_after(_cli(["audit", _audit_csv(tmp_path), "--threshold", "1"]))
     assert "'numpy'" in loaded
 
 
@@ -75,7 +83,7 @@ def test_no_command_loads_scipy(tmp_path):
                 ["streak", "5", "--days", "3"], ["lottery", "--p", "1e-100"],
                 ["invert", "--years", "1e5"], ["context", "25"], ["ttail", "25", "--nu", "3"],
                 ["audit", _audit_csv(tmp_path), "--threshold", "1", "--format", "json"]]
-    loaded = _heavy_modules_after("\n".join(_cli(argv) for argv in commands))
+    loaded = _loaded_after("\n".join(_cli(argv) for argv in commands))
     assert "numpy" in loaded  # the audit ran
     assert "scipy" not in loaded
 
