@@ -16,9 +16,9 @@ import json
 import math
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple
 
 import numpy as np
 
@@ -360,15 +360,9 @@ def _parse_rows(path, text: str, first_row: int, last_day: int):
     return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Per-day estimated mean and stdev, plus which days are scorable."""
-
-    mean: np.ndarray
-    stdev: np.ndarray
-    scored: np.ndarray  # bool; False where history is missing or stdev == 0
-    sample_mean: float
-    sample_stdev: float
+# Per-day estimated mean and stdev, plus which days are scorable: ``scored``
+# is False where history is missing or stdev == 0.
+Moments = namedtuple("Moments", "mean stdev scored sample_mean sample_stdev")
 
 
 def estimate_moments(series: Series, window: int | None = None) -> Moments:
@@ -410,9 +404,7 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
     return Moments(means, stds, scored, sample_mean, sample_stdev)
 
 
-class FlaggedDay(NamedTuple):
-    date: date
-    sigma_score: float
+FlaggedDay = namedtuple("FlaggedDay", "date sigma_score")
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,18 +598,9 @@ def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
     return Magnitude(min(ln_tail / LN10, 0.0))
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    n_days: int
-    mean: float
-    stdev: float
-    window: int | None
-    threshold_k: float
-    side: str
-    flagged: FlaggedDays
-    expected_count: float
-    observed_count: int
-    p_value_at_least_observed: Magnitude
+# window is None for full-sample moments; flagged is a FlaggedDays
+AuditReport = namedtuple("AuditReport", "n_days mean stdev window threshold_k side flagged "
+                         "expected_count observed_count p_value_at_least_observed")
 
 
 def build_report(series: Series, *, threshold_k: float, window: int | None = None,

@@ -27,7 +27,7 @@ sigma levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, finite_real
 from .magnitude import Magnitude, from_real, pow_int
@@ -52,21 +52,14 @@ _HALF_LOG10E_LO = 5.491598251083825e-18
 _HALF_LOG10_2PI = 0.3990899341790575
 _LN10 = math.log(10.0)
 
-@dataclass(frozen=True)
-class SeriesDiagnostics:
-    path: str
-    terms_used: int
-    truncation_bound: float   # |first omitted term| / |partial sum| (0 on the exact path)
+# truncation_bound: |first omitted term| / |partial sum| (0 on the exact path)
+SeriesDiagnostics = namedtuple("SeriesDiagnostics", "path terms_used truncation_bound")
 
 
-@dataclass(frozen=True)
-class TailResult:
+class TailResult(namedtuple("TailResult", "k probability days_per_year diagnostics")):
     """What ``gauss_tail`` computes; ``percent`` and the periods derive from ``probability``."""
 
-    k: float
-    probability: Magnitude
-    days_per_year: int
-    diagnostics: SeriesDiagnostics
+    __slots__ = ()
 
     @property
     def percent(self) -> Magnitude:

@@ -89,9 +89,6 @@ class Magnitude:
             raise DomainError("reciprocal of zero")
         return Magnitude(-self._log10)
 
-    def format(self, sig_digits: int = 6) -> str:
-        return format_sci(self, sig_digits)
-
     def sci_parts(self) -> tuple[float, int]:
         """(mantissa, exponent10) with mantissa in [1, 10), or (0.0, 0) for zero."""
         if self._zero:
@@ -140,10 +137,10 @@ class Magnitude:
         return hash((self._zero, self._log10))
 
     def __repr__(self):
-        return f"Magnitude({self.format(6)!r})"
+        return f"Magnitude({format_sci(self, 6)!r})"
 
     def __str__(self):
-        return self.format(6)
+        return format_sci(self, 6)
 
 
 ZERO = Magnitude(zero=True)
@@ -190,7 +187,7 @@ def format_sci(a: Magnitude, sig_digits: int = 4) -> str:
     """Render as ``M.MM...e±E``: mantissa rounded half-to-even to
     ``sig_digits``, lowercase ``e``, signed exponent without leading zeros.
     """
-    if not isinstance(sig_digits, int) or not 1 <= sig_digits <= 17:
+    if isinstance(sig_digits, bool) or not isinstance(sig_digits, int) or not 1 <= sig_digits <= 17:
         raise DomainError("sig_digits must be an integer in [1, 17]")
     decimals = sig_digits - 1
     if a.is_zero:

@@ -5,7 +5,7 @@ equivalents, order-of-magnitude gaps, and named reference scales
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError
 from .magnitude import Magnitude, ONE, from_real, from_sci, parse
@@ -13,35 +13,36 @@ from .magnitude import Magnitude, ONE, from_real, from_sci, parse
 _KINDS = ("years", "count")
 
 
-@dataclass(frozen=True)
-class ReferenceScale:
-    """A named comparison scale, possibly a range (low <= high)."""
+class ReferenceScale(namedtuple("ReferenceScale", "name kind low high")):
+    """A named comparison scale, possibly a range (low <= high); ``kind`` is
+    "years" or "count"."""
 
-    name: str
-    kind: str  # "years" or "count"
-    low: Magnitude
-    high: Magnitude
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.low.is_zero or self.high.is_zero:
+    def __new__(cls, name: str, kind: str, low: Magnitude, high: Magnitude):
+        if kind not in _KINDS:
+            raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if low.is_zero or high.is_zero:
             raise DomainError("reference bounds must be nonzero")
-        if self.low > self.high:
-            raise DomainError(f"reference {self.name!r} has low > high")
+        if low > high:
+            raise DomainError(f"reference {name!r} has low > high")
+        return super().__new__(cls, name, kind, low, high)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class LotteryModel:
+class LotteryModel(namedtuple("LotteryModel", "win_probability")):
     """Single-ticket win probability; defaults to the fair-bet odds of a
     2.5e6-to-1 jackpot."""
 
-    win_probability: Magnitude = field(default_factory=lambda: from_real(4e-7))
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = self.win_probability
-        if q.is_zero or q >= ONE:
+    def __new__(cls, win_probability: Magnitude = from_real(4e-7)):
+        if win_probability.is_zero or win_probability >= ONE:
             raise DomainError("win probability must lie strictly in (0, 1)")
+        return super().__new__(cls, win_probability)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
 DEFAULT_LOTTERY = LotteryModel()
@@ -58,12 +59,8 @@ BUILTIN_SCALES: tuple[ReferenceScale, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ReferenceComparison:
-    name: str
-    kind: str
-    ratio_low: Magnitude   # value / low
-    ratio_high: Magnitude  # value / high
+# ratio_low is value / low, and ratio_high value / high
+ReferenceComparison = namedtuple("ReferenceComparison", "name kind ratio_low ratio_high")
 
 
 def lottery_equivalent(p: Magnitude, model: LotteryModel = DEFAULT_LOTTERY) -> tuple[int, int]:

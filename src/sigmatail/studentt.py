@@ -11,7 +11,7 @@ evaluated as a double underflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gauss, scales
 from .errors import DomainError, finite_real
@@ -29,8 +29,7 @@ MAX_NU = 1e300
 _MAX_STEPS = 1000
 
 
-@dataclass(frozen=True)
-class TDistSpec:
+class TDistSpec(namedtuple("TDistSpec", "nu standardized")):
     """Degrees of freedom plus the standardization switch.
 
     standardized=True rescales the variate by sqrt((nu-2)/nu) to unit
@@ -38,18 +37,20 @@ class TDistSpec:
     Gaussian; that requires nu > 2.  standardized=False evaluates the raw
     textbook t distribution.  nu is at most 1e300."""
 
-    nu: float
-    standardized: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        nu = finite_real(self.nu, "nu must be a finite real")
-        if nu > MAX_NU:
+    def __new__(cls, nu: float, standardized: bool = True):
+        checked = finite_real(nu, "nu must be a finite real")
+        if checked > MAX_NU:
             raise DomainError(f"nu must be at most {MAX_NU:g}")
-        if self.standardized:
-            if nu <= 2.0:
+        if standardized:
+            if checked <= 2.0:
                 raise DomainError("standardized mode needs nu > 2 (finite variance)")
-        elif nu <= 0.0:
+        elif checked <= 0.0:
             raise DomainError("nu must be positive")
+        return super().__new__(cls, nu, standardized)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
 def _ln_beta_half(a: float) -> float:

@@ -1,6 +1,7 @@
 """numpy loads only for the command that uses it, and scipy for none; a
 bare ``import sigmatail`` loads none of its submodules, and the CLI neither
-decimal nor json, each of which has one rare user.
+decimal nor json, each of which has one rare user, nor the dataclasses,
+inspect or typing that plain named tuples do not need.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -19,11 +20,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def _loaded_after(code: str, roots=("numpy", "scipy")) -> str:
+def _loaded_after(code: str, roots=("numpy", "scipy"), flags=()) -> str:
     """The modules under ``roots`` that ``code`` leaves loaded, printed."""
     report = f"import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] in {roots!r}))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
+        [sys.executable, *flags, "-c", f"{code}\n{report}"],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
     )
@@ -43,7 +44,7 @@ def test_gauss_tail_loads_no_numpy_or_scipy():
     assert _loaded_after("import sigmatail; sigmatail.gauss_tail(25)") == "[]"
 
 
-@pytest.mark.parametrize("argv", [
+MATH_COMMANDS = [
     ["prob", "2"],
     ["table", "--ks", "3,6,25", "--format", "json"],
     ["occurrence", "25"],
@@ -52,9 +53,20 @@ def test_gauss_tail_loads_no_numpy_or_scipy():
     ["invert", "--years", "1e5"],
     ["context", "25", "--baseline-years", "1e5"],
     ["ttail", "25", "--nu", "3"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", MATH_COMMANDS, ids=lambda argv: argv[0])
 def test_math_only_commands_load_no_numpy_or_scipy(argv):
     assert _loaded_after(_cli(argv)) == "[]"
+
+
+@pytest.mark.parametrize("code", ["import sigmatail.cli", *map(_cli, MATH_COMMANDS)],
+                         ids=["import", *(argv[0] for argv in MATH_COMMANDS)])
+def test_math_commands_load_no_dataclasses_inspect_or_typing(code):
+    # -S: no site .pth file may load these first and hide an import of ours
+    loaded = _loaded_after(code, ("dataclasses", "inspect", "typing"), flags=("-S",))
+    assert loaded == "[]"
 
 
 def _audit_csv(tmp_path) -> str:

@@ -218,7 +218,7 @@ class TestFormat:
     def test_negative_exponent_no_leading_zeros(self):
         assert format_sci(parse("3.057e-006"), 4) == "3.057e-6"
 
-    @pytest.mark.parametrize("digits", [0, 18, -1, 3.5])
+    @pytest.mark.parametrize("digits", [0, 18, -1, 3.5, True])
     def test_digit_bounds(self, digits):
         with pytest.raises(DomainError):
             format_sci(ONE, digits)
