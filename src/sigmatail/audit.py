@@ -735,15 +735,6 @@ def _flagged_text(flagged: FlaggedDays) -> str:
     return rows[keep].tobytes().decode("ascii")
 
 
-# "00".."99", "-00-".."-12-" and "00  ".."31  " as little-endian words, so
-# that a day's "YYYY-MM-DD  " is three words: two pairs of year digits, then
-# the month's and the day's
-_TWO_DIGITS = np.frombuffer("".join(map("%02d".__mod__, range(100))).encode(),
-                            "<u2").astype("<u4")
-_MONTH_TEXT = np.frombuffer("".join(map("-%02d-".__mod__, range(13))).encode(), "<u4")
-_DAY_TEXT = np.frombuffer("".join(map("%02d  ".__mod__, range(32))).encode(), "<u4")
-
-
 def _iso_dates(days: np.ndarray) -> np.ndarray:
     """``date.isoformat()`` of each datetime64[D] day in years 1..9999, as
     a row of 10 ASCII bytes: year, month and day by Hinnant's
@@ -757,8 +748,9 @@ def _iso_dates(days: np.ndarray) -> np.ndarray:
     day = doy - (153 * mp + 2) // 5 + 1
     month = np.where(mp < 10, mp + 3, mp - 9)
     year = era * 400 + yoe + (month <= 2)
+    # "YYYY", "00MM" and "00DD", kept as "YYYY0MM0DD" with the dashes written over
     text = np.empty((days.size, 3), "<u4")
-    text[:, 0] = _TWO_DIGITS[year // 100] | _TWO_DIGITS[year % 100] << 16
-    text[:, 1] = _MONTH_TEXT[month]
-    text[:, 2] = _DAY_TEXT[day]
-    return text.view(np.uint8)[:, :10]
+    text[:, 0], text[:, 1], text[:, 2] = _FOUR_DIGITS[year], _FOUR_DIGITS[month], _FOUR_DIGITS[day]
+    text = text.view(np.uint8)[:, [0, 1, 2, 3, 4, 6, 7, 8, 10, 11]]
+    text[:, 4] = text[:, 7] = ord("-")
+    return text

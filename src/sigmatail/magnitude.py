@@ -12,19 +12,13 @@ numerically happen in ordinary floats before values are lifted here.
 
 from __future__ import annotations
 
-import functools
 import math
-import re
 
 from .errors import DomainError, ParseError, finite_real
 
 # Exponent guard: far beyond anything composable from double inputs, but
 # finite so log10_value never degrades into inf/nan silently.
 LOG10_CAP = 1e15
-
-# ASCII only: \d would also match other scripts' digits, which the nonzero
-# test in parse() does not recognise
-_NUMBER_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?\s*$", re.ASCII)
 
 
 def _checked_log10(value: float) -> float:
@@ -37,14 +31,14 @@ def _checked_log10(value: float) -> float:
     return float(value)
 
 
-@functools.total_ordering
 class Magnitude:
     """A nonnegative real represented by its base-10 logarithm.
 
     Use :func:`from_real`, :func:`from_sci` or :func:`parse` to construct
     instances; ``Magnitude(L)`` itself means "the value whose log10 is L".
     Arithmetic is ``*``, ``/``, :meth:`recip` and :func:`pow_int`; the six
-    comparisons order by value, zero below every positive value.  A float
+    comparisons order by value, zero below every positive value; ``a > b``
+    and ``a >= b`` are Python's reflected ``b < a`` and ``b <= a``.  A float
     operand raises TypeError, except in ``==`` and ``!=``, where it is unequal.
     """
 
@@ -121,7 +115,7 @@ class Magnitude:
             return ZERO
         return Magnitude(self._log10 - other._log10)
 
-    # ordering: total_ordering derives <=, > and >= from == and < ----------
+    # ordering: a > b is Python's reflected b < a, and a >= b is b <= a -----
 
     def __eq__(self, other):
         if not isinstance(other, Magnitude):
@@ -132,6 +126,11 @@ class Magnitude:
         if not isinstance(other, Magnitude):
             return NotImplemented
         return (not self._zero, self._log10) < (not other._zero, other._log10)
+
+    def __le__(self, other):
+        if not isinstance(other, Magnitude):
+            return NotImplemented
+        return (not self._zero, self._log10) <= (not other._zero, other._log10)
 
     def __hash__(self):
         return hash((self._zero, self._log10))
@@ -211,11 +210,17 @@ def parse(text: str) -> Magnitude:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")
-    m = _NUMBER_RE.match(text)
-    if not m:
+    # the grammar: [+-] digits[.[digits]] or .digits, then [(e|E)[+-]digits],
+    # between ASCII blanks; strip() with no argument would also take Unicode
+    # spaces, and isdigit() other scripts' digits
+    body = text.strip(" \t\n\r\f\v")
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    mant_text, e, exp_text = body[len(sign):].replace("E", "e").partition("e")
+    whole, _, fraction = mant_text.partition(".")
+    exp_digits = exp_text[1:] if exp_text[:1] in ("+", "-") else exp_text
+    if not (body.isascii() and (whole + fraction).isdigit() and (exp_digits.isdigit() or not e)):
         raise ParseError(f"not a number: {text!r}")
-    sign, mant_text, exp_text = m.groups()
-    if not any(c in "123456789" for c in mant_text):
+    if not mant_text.strip("0."):
         return ZERO
     if sign == "-":
         raise DomainError(f"negative values are not representable: {text!r}")

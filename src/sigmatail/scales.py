@@ -22,6 +22,8 @@ class ReferenceScale(namedtuple("ReferenceScale", "name kind low high")):
     def __new__(cls, name: str, kind: str, low: Magnitude, high: Magnitude):
         if kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if not (isinstance(low, Magnitude) and isinstance(high, Magnitude)):
+            raise DomainError("reference bounds must be Magnitudes")
         if low.is_zero or high.is_zero:
             raise DomainError("reference bounds must be nonzero")
         if low > high:
@@ -38,6 +40,8 @@ class LotteryModel(namedtuple("LotteryModel", "win_probability")):
     __slots__ = ()
 
     def __new__(cls, win_probability: Magnitude = from_real(4e-7)):
+        if not isinstance(win_probability, Magnitude):
+            raise DomainError("win probability must be a Magnitude")
         if win_probability.is_zero or win_probability >= ONE:
             raise DomainError("win probability must lie strictly in (0, 1)")
         return super().__new__(cls, win_probability)

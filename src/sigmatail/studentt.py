@@ -43,6 +43,8 @@ class TDistSpec(namedtuple("TDistSpec", "nu standardized")):
         checked = finite_real(nu, "nu must be a finite real")
         if checked > MAX_NU:
             raise DomainError(f"nu must be at most {MAX_NU:g}")
+        if not isinstance(standardized, bool):
+            raise DomainError(f"standardized must be a bool, got {type(standardized).__name__}")
         if standardized:
             if checked <= 2.0:
                 raise DomainError("standardized mode needs nu > 2 (finite variance)")

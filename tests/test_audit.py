@@ -23,7 +23,7 @@ from sigmatail.audit import (
     report_json, sigma_scores,
 )
 from sigmatail.errors import DomainError
-from sigmatail.magnitude import ONE, Magnitude, from_real, parse
+from sigmatail.magnitude import ONE, Magnitude, format_sci, from_real, parse
 
 P6 = 9.865876450376981407009e-10  # Gaussian tail at k=6, frozen oracle
 
@@ -803,6 +803,11 @@ class TestBinomialTail:
                                + m * mp.log(mp.mpf(p)) + (n - m) * mp.log1p(-mp.mpf(p))))
         assert at_least_m - above_m == pytest.approx(pmf, rel=1e-5)
         assert 0.5 < at_least_m < 0.51
+
+    def test_plain_float_p(self):
+        got = binomial_tail_at_least(250, 2, 1e-3)
+        assert got == binomial_tail_at_least(250, 2, from_real(1e-3))
+        assert format_sci(got, 6) == "2.64259e-2"
 
     def test_monotone_in_m(self):
         vals = [binomial_tail_at_least(100, m, from_real(0.1)).log10_value

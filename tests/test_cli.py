@@ -133,6 +133,9 @@ class TestProb:
             run_cli(["prob"])
         assert exc.value.code == 2
 
+    def test_dpy_zero(self):
+        assert run_cli(["prob", "2", "--dpy", "0"]) == (3, "", "error: --dpy must be >= 1\n")
+
     def test_digits_bound(self):
         code, _, err = run_cli(["prob", "2", "--digits", "16"])
         assert code == 3
@@ -205,6 +208,9 @@ class TestTable:
     def test_bad_ks(self):
         code, _, err = run_cli(["table", "--ks", "3;4"])
         assert code == 3
+
+    def test_empty_ks(self):
+        assert run_cli(["table", "--ks", ","]) == (3, "", "error: --ks list is empty\n")
 
     def test_dpy_changes_years_only(self):
         _, out250, _ = run_cli(["table", "--ks", "2", "--format", "csv"])
@@ -566,6 +572,11 @@ class TestEnvironment:
         monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "soon")
         code, _, err = run_cli(["prob", "2"])
         assert code == 3
+
+    def test_zero_env_value(self, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "0")
+        message = f"error: {cli.ENV_DAYS_PER_YEAR} must be >= 1, got 0\n"
+        assert run_cli(["prob", "2"]) == (3, "", message)
 
 
 class TestParserReuse:

@@ -262,6 +262,8 @@ class TestDispatch:
             gauss_tail(k=2.0, days_per_year=0)
         with pytest.raises(DomainError):
             gauss_tail(k=2.0, mode="quick")
+        with pytest.raises(DomainError, match="^days_per_year must be an integer$"):
+            gauss_tail(2.0, days_per_year=True)
 
     def test_dual_path_agreement_in_overlap(self):
         for k in [9.0, 9.1, 9.2, 9.3, 9.4, 9.5]:
@@ -361,6 +363,10 @@ class TestSigmaForPeriod:
     def test_zero_years(self):
         with pytest.raises(DomainError):
             sigma_for_period(ZERO, 250)
+
+    def test_plain_float_years(self):
+        with pytest.raises(DomainError, match="^years must be a Magnitude$"):
+            sigma_for_period(1e5)
 
     # k near 0, both sides of AUTO_SWITCH_K = 9, and up to k near MAX_K = 1e6
     SWEEP_K = [0.0, 1e-6, 1e-3, 0.05, 0.5, 1.0, 2.5, 5.367, 8.5, 8.999999, 9.0,

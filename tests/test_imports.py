@@ -1,7 +1,8 @@
 """numpy loads only for the command that uses it, and scipy for none; a
 bare ``import sigmatail`` loads none of its submodules, and the CLI neither
 decimal nor json, each of which has one rare user, nor the dataclasses,
-inspect or typing that plain named tuples do not need.
+inspect or typing that plain named tuples do not need.  A library user's
+math loads neither re, enum nor functools.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -67,6 +68,14 @@ def test_math_commands_load_no_dataclasses_inspect_or_typing(code):
     # -S: no site .pth file may load these first and hide an import of ours
     loaded = _loaded_after(code, ("dataclasses", "inspect", "typing"), flags=("-S",))
     assert loaded == "[]"
+
+
+def test_library_math_loads_no_re_enum_or_functools():
+    # a parse, a tail and a >= (Python's reflected <=) run without them
+    code = ("import sigmatail.gauss, sigmatail.scales, sigmatail.studentt\n"
+            "from sigmatail.magnitude import ONE, ZERO, parse\n"
+            "sigmatail.gauss.gauss_tail(25); parse('3.057e-138'); assert ONE >= ZERO")
+    assert _loaded_after(code, ("re", "enum", "functools"), flags=("-S",)) == "[]"
 
 
 def _audit_csv(tmp_path) -> str:

@@ -1,7 +1,9 @@
 import math
+import re
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmatail import magnitude as mg
 from sigmatail.errors import DomainError, ParseError
@@ -180,6 +182,7 @@ class TestOperators:
     @pytest.mark.parametrize("op", [
         lambda m: m * 2.0, lambda m: 2.0 * m, lambda m: m / 2.0, lambda m: 2.0 / m,
         lambda m: m < 2.0, lambda m: m >= 2.0, lambda m: 2.0 < m,
+        lambda m: m > 2.0, lambda m: m <= 2.0, lambda m: 2.0 > m, lambda m: 2.0 >= m,
     ])
     def test_float_operand_raises_type_error(self, op):
         with pytest.raises(TypeError):
@@ -187,6 +190,8 @@ class TestOperators:
 
     def test_float_is_never_equal(self):
         assert from_real(1.0) != 1.0
+        assert not from_real(1.0) == 1.0
+        assert 1.0 != from_real(1.0)
 
     def test_zero_divided_is_zero(self):
         assert ZERO / parse("1e-300") is ZERO
@@ -212,6 +217,7 @@ class TestFormat:
         assert format_sci(parse("2.7e5"), 1) == "3e+5"
 
     def test_zero(self):
+        assert ZERO.sci_parts() == (0.0, 0)
         assert format_sci(ZERO, 4) == "0.000e+0"
         assert parse(format_sci(ZERO, 4)).is_zero
 
@@ -277,6 +283,63 @@ class TestParse:
         assert parse("5e+" + "0" * 5000 + "7").log10_value == math.log10(5.0) + 7
 
 
+# parse() as it was with a regex: the oracle for its hand-written scanner
+_NUMBER_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?\s*$", re.ASCII)
+
+
+def _regex_parse(text):
+    m = _NUMBER_RE.match(text)
+    if not m:
+        raise ParseError(f"not a number: {text!r}")
+    sign, mant_text, exp_text = m.groups()
+    if not any(c in "123456789" for c in mant_text):
+        return ZERO
+    if sign == "-":
+        raise DomainError(f"negative values are not representable: {text!r}")
+    mant = float(mant_text)
+    if mant == 0.0 or math.isinf(mant):
+        log10_mant = float(Decimal(mant_text).log10())
+    else:
+        log10_mant = math.log10(mant)
+    value = log10_mant + (float(exp_text) if exp_text else 0.0)
+    if abs(value) > mg.LOG10_CAP:
+        raise DomainError(f"exponent out of supported range in {text!r}")
+    return Magnitude(value)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+# the grammar's own characters, the six ASCII blanks, and look-alikes it
+# refuses: other ASCII separators, Unicode spaces, other scripts' digits, "²"
+PARSE_ALPHABET = list("0123456789+-.eE \t\n\r\f\v") + [
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+    "\u0660", "\u0663", "\uff10", "\uff15", "\u00b2",
+]
+
+
+@settings(max_examples=3000)
+@given(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=14).map("".join))
+@example("1.")
+@example(".5")
+@example("+.5e-3")
+@example(" \t1e5\n")
+@example("-0.0E+7")
+@example("1e5\x1c")
+@example("\x851")
+@example("\u06635")
+@example("1\u00b2")
+@example("1e+")
+@example("." + "9" * 400)
+@example("1e" + "9" * 20)
+def test_parse_matches_the_regex_grammar(text):
+    assert _outcome(parse, text) == _outcome(_regex_parse, text)
+
+
 class TestAsFloat:
     def test_round_trip(self):
         assert parse("3.057e-138").as_float() == pytest.approx(3.057e-138, rel=1e-13)
@@ -287,6 +350,12 @@ class TestAsFloat:
             parse("1e400").as_float()
         with pytest.raises(DomainError):
             parse("1e-400").as_float()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_log10_rejected(value):
+    with pytest.raises(DomainError, match="^log10 value must be finite$"):
+        Magnitude(value)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from sigmatail.errors import DomainError
 from sigmatail.gauss import gauss_tail
-from sigmatail.magnitude import ONE
-from sigmatail.scales import BUILTIN_SCALES, DEFAULT_LOTTERY
+from sigmatail.magnitude import ONE, from_real
+from sigmatail.scales import BUILTIN_SCALES, DEFAULT_LOTTERY, LotteryModel, ReferenceScale
 from sigmatail.studentt import TDistSpec
 
 BAD_REPLACEMENTS = [
@@ -16,7 +16,28 @@ BAD_REPLACEMENTS = [
     pytest.param(BUILTIN_SCALES[0], {"kind": "x"}, "kind must be one of", id="ReferenceScale"),
     pytest.param(DEFAULT_LOTTERY, {"win_probability": ONE},
                  "win probability must lie strictly in", id="LotteryModel"),
+    pytest.param(TDistSpec(3.0), {"standardized": "no"},
+                 "^standardized must be a bool, got str$", id="TDistSpec-standardized"),
+    pytest.param(BUILTIN_SCALES[0], {"low": 1.0},
+                 "^reference bounds must be Magnitudes$", id="ReferenceScale-float"),
+    pytest.param(DEFAULT_LOTTERY, {"win_probability": 0.5},
+                 "^win probability must be a Magnitude$", id="LotteryModel-float"),
 ]
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LotteryModel(0.5), "^win probability must be a Magnitude$"),
+    (lambda: ReferenceScale("a", "years", 1.0, 2.0), "^reference bounds must be Magnitudes$"),
+    (lambda: ReferenceScale("a", "years", from_real(1.0), 2.0),
+     "^reference bounds must be Magnitudes$"),
+    (lambda: TDistSpec(3.0, standardized="no"), "^standardized must be a bool, got str$"),
+    (lambda: TDistSpec(3.0, 0), "^standardized must be a bool, got int$"),
+    (lambda: TDistSpec(3.0, None), "^standardized must be a bool, got NoneType$"),
+], ids=["lottery", "scale", "scale-high", "standardized-str", "standardized-int",
+        "standardized-none"])
+def test_field_of_the_wrong_type_is_a_domain_error(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("record,fields,message", BAD_REPLACEMENTS)
