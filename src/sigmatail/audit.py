@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, gauss
 from .errors import DomainError, finite_real
-from .magnitude import Magnitude, from_real
+from .magnitude import ONE, Magnitude, from_real
 
 LN10 = math.log(10.0)
 
@@ -535,10 +535,8 @@ def _bd0(x: float, mean: float, ln_mean: float) -> float:
 
 
 def _ln_binom_pmf(j: float, n: float, p: float, q: float, ln_p: float, ln_q: float) -> float:
-    """ln P(X = j) for X ~ Binomial(n, p) by Loader's saddle-point form, with
-    no cancellation between log-gammas of ~n ln n."""
-    if j == 0.0:
-        return n * ln_q
+    """ln P(X = j) for X ~ Binomial(n, p) and j >= 1 by Loader's saddle-point
+    form, with no cancellation between log-gammas of ~n ln n."""
     if j == n:
         return n * ln_p
     ln_n = math.log(n)
@@ -547,13 +545,26 @@ def _ln_binom_pmf(j: float, n: float, p: float, q: float, ln_p: float, ln_q: flo
             - _HALF_LN_2PI - 0.5 * math.log(j * ((n - j) / n)))
 
 
+def _ln_tail(n: float, m: int, p: float, q: float, ln_p: float, ln_q: float) -> float:
+    """ln P(X >= m) for X ~ Binomial(n, p) and m > n p, where the terms
+    shrink from m upward."""
+    j, term, total = float(m), 1.0, 1.0
+    ratio = p / q
+    while j < n and term >= 1e-17 * total:
+        term *= (n - j) / (j + 1.0) * ratio
+        total += term
+        j += 1.0
+    return _ln_binom_pmf(float(m), n, p, q, ln_p, ln_q) + math.log(total)
+
+
 def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
     """P(X >= m) for X ~ Binomial(n, p), in the log domain, so values like
     1e-270 or 1e-9000 come out to ~2e-11 relative instead of underflowing.
 
     One term comes from Loader's saddle-point form; the rest of the short
     side follows by the ratio of neighbouring terms, outward from it, until a
-    term falls below 1e-17 of the sum: O(sqrt(n p q)) work, not O(m).
+    term falls below 1e-17 of the sum: O(sqrt(n p q)) work, not O(m).  A
+    short head is 1 - P(n - X >= n - m + 1), the upper tail of n - X.
     ``p`` may be a Magnitude or a plain float in (0, 1); n is at most 2^53.
     """
     if isinstance(n, bool) or isinstance(m, bool) or not isinstance(n, int) or not isinstance(m, int):
@@ -567,35 +578,16 @@ def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
     if p.is_zero or p.log10_value >= 0.0:
         raise DomainError("p must lie strictly in (0, 1)")
     if m == 0:
-        return from_real(1.0)
+        return ONE
 
     ln_p = p.log10_value * LN10
     p_f = math.exp(ln_p)
     q_f = -math.expm1(ln_p)
     ln_q = math.log1p(-p_f) if p_f < 0.5 else math.log(q_f)
     n_f = float(n)
-
     if m <= n_f * p_f:
-        # the head is the short side: P(X >= m) = 1 - P(X <= m-1), summed
-        # downward from m-1, where the terms shrink
-        j, term, total = m - 1, 1.0, 1.0
-        ratio = q_f / p_f
-        while j > 0 and term >= 1e-17 * total:
-            term *= j / (n_f - j + 1.0) * ratio
-            total += term
-            j -= 1
-        head = math.exp(_ln_binom_pmf(float(m - 1), n_f, p_f, q_f, ln_p, ln_q)) * total
-        return from_real(1.0 - head)
-
-    # the terms shrink from m upward, since m > n p
-    j, term, total = m, 1.0, 1.0
-    ratio = p_f / q_f
-    while j < n and term >= 1e-17 * total:
-        term *= (n_f - j) / (j + 1.0) * ratio
-        total += term
-        j += 1
-    ln_tail = _ln_binom_pmf(float(m), n_f, p_f, q_f, ln_p, ln_q) + math.log(total)
-    return Magnitude(min(ln_tail / LN10, 0.0))
+        return from_real(1.0 - math.exp(_ln_tail(n_f, n - m + 1, q_f, p_f, ln_q, ln_p)))
+    return Magnitude(min(_ln_tail(n_f, m, p_f, q_f, ln_p, ln_q) / LN10, 0.0))
 
 
 # window is None for full-sample moments; flagged is a FlaggedDays
@@ -619,10 +611,7 @@ def build_report(series: Series, *, threshold_k: float, window: int | None = Non
     p_model = tail * from_real(2.0) if side == "both" else tail
     expected = n_scored * (10.0 ** p_model.log10_value if p_model.log10_value > -320 else 0.0)
 
-    if n_scored == 0 or observed == 0:
-        p_value = from_real(1.0)
-    else:
-        p_value = binomial_tail_at_least(n_scored, observed, p_model)
+    p_value = binomial_tail_at_least(n_scored, observed, p_model) if p_model < ONE else ONE
 
     return AuditReport(
         n_days=len(series),

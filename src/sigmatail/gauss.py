@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, finite_real
-from .magnitude import Magnitude, from_real, pow_int
+from .magnitude import ONE, Magnitude, _check_magnitude, from_real, pow_int
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_DAYS_PER_YEAR = 250
@@ -242,9 +242,10 @@ def gauss_tail(k: float, *, mode: str = "auto",
 
 def occurrence_days(p: Magnitude) -> Magnitude:
     """Expected-occurrence period in days: 1/p."""
+    _check_magnitude(p, "p")
     if p.is_zero:
         raise DomainError("occurrence period of a zero probability")
-    return p.recip()
+    return ONE / p
 
 
 def occurrence_years(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> Magnitude:
@@ -266,8 +267,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     It takes 5 tail evaluations for periods below about 10**3.5 years, 4
     below about 10**380, and 3 beyond."""
     days_per_year = _validate_dpy(days_per_year)
-    if not isinstance(years, Magnitude):
-        raise DomainError("years must be a Magnitude")
+    _check_magnitude(years, "years")
     if years.is_zero:
         raise DomainError("period must be positive")
     target = -(years.log10_value + math.log10(days_per_year))  # log10 of target p

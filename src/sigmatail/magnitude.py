@@ -36,7 +36,7 @@ class Magnitude:
 
     Use :func:`from_real`, :func:`from_sci` or :func:`parse` to construct
     instances; ``Magnitude(L)`` itself means "the value whose log10 is L".
-    Arithmetic is ``*``, ``/``, :meth:`recip` and :func:`pow_int`; the six
+    Arithmetic is ``*``, ``/`` and :func:`pow_int`; the six
     comparisons order by value, zero below every positive value; ``a > b``
     and ``a >= b`` are Python's reflected ``b < a`` and ``b <= a``.  A float
     operand raises TypeError, except in ``==`` and ``!=``, where it is unequal.
@@ -77,11 +77,6 @@ class Magnitude:
                 f"value 10^{self._log10:.6g} is not representable as a float"
             )
         return v
-
-    def recip(self) -> "Magnitude":
-        if self._zero:
-            raise DomainError("reciprocal of zero")
-        return Magnitude(-self._log10)
 
     def sci_parts(self) -> tuple[float, int]:
         """(mantissa, exponent10) with mantissa in [1, 10), or (0.0, 0) for zero."""
@@ -146,6 +141,11 @@ ZERO = Magnitude(zero=True)
 ONE = Magnitude(0.0)
 
 
+def _check_magnitude(value, name: str) -> None:
+    if not isinstance(value, Magnitude):
+        raise DomainError(f"{name} must be a Magnitude")
+
+
 def from_real(v: float) -> Magnitude:
     """Lift an ordinary nonnegative float into the log10 domain."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -173,6 +173,7 @@ def from_sci(mantissa: float, exponent: int) -> Magnitude:
 def pow_int(a: Magnitude, n: int) -> Magnitude:
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError("exponent must be an integer")
+    _check_magnitude(a, "a")
     if a.is_zero:
         if n > 0:
             return ZERO
@@ -188,6 +189,7 @@ def format_sci(a: Magnitude, sig_digits: int = 4) -> str:
     """
     if isinstance(sig_digits, bool) or not isinstance(sig_digits, int) or not 1 <= sig_digits <= 17:
         raise DomainError("sig_digits must be an integer in [1, 17]")
+    _check_magnitude(a, "a")
     decimals = sig_digits - 1
     if a.is_zero:
         mant_text = f"{0.0:.{decimals}f}"

@@ -8,7 +8,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .magnitude import Magnitude, ONE, from_real, from_sci, parse
+from .magnitude import Magnitude, ONE, _check_magnitude, from_real, from_sci, parse
 
 _KINDS = ("years", "count")
 
@@ -74,6 +74,9 @@ def lottery_equivalent(p: Magnitude, model: LotteryModel = DEFAULT_LOTTERY) -> t
     probability; computed in the log10 domain and re-verified there, so the
     exact-power boundary resolves deterministically to the closed left end.
     """
+    _check_magnitude(p, "p")
+    if not isinstance(model, LotteryModel):
+        raise DomainError("model must be a LotteryModel")
     if p.is_zero:
         raise DomainError("probability must be nonzero")
     if p > ONE:
@@ -91,6 +94,8 @@ def lottery_equivalent(p: Magnitude, model: LotteryModel = DEFAULT_LOTTERY) -> t
 
 def order_gap(a: Magnitude, b: Magnitude) -> int:
     """floor(log10(a / b)): how many decimal orders a exceeds b by."""
+    _check_magnitude(a, "a")
+    _check_magnitude(b, "b")
     if a.is_zero or b.is_zero:
         raise DomainError("order gap of zero")
     return math.floor(a.log10_value - b.log10_value)
@@ -104,6 +109,7 @@ def compare_to_references(years: Magnitude,
     kind="count" references are compared as bare numbers, deliberately
     mixing units; renderers should annotate the mismatch.
     """
+    _check_magnitude(years, "years")
     if years.is_zero:
         raise DomainError("years must be nonzero")
     if not refs:

@@ -885,6 +885,13 @@ class TestBuildReport:
         assert report.expected_count == 0.0
         assert report.p_value_at_least_observed == ONE
 
+    def test_both_sided_model_rounding_to_one(self, standard_normal_10k):
+        # 2 P(Z >= 1e-20) rounds to 1, so every scored day is surely flagged
+        report = build_report(make_series(standard_normal_10k[:500]), threshold_k=1e-20,
+                              side="both")
+        assert report.p_value_at_least_observed == ONE
+        assert report.expected_count == 500
+
 
 class TestReportDict:
     def test_exact_field_names(self, standard_normal_10k):

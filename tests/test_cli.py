@@ -493,6 +493,13 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["expected_count"] == pytest.approx(2000 * 2 * 0.02275013, rel=1e-5)
 
+    def test_both_side_model_rounding_to_one(self, fixture_csv):
+        code, out, err = run_cli(["audit", str(fixture_csv), "--threshold", "1e-20",
+                                  "--side", "both"])
+        assert (code, err) == (0, "")
+        assert "expected_count: 2000\n" in out
+        assert "p_value_at_least_observed: 1.000e+0\n" in out
+
     def test_malformed_file_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,value\n1985-01-01,1.0\n1985-01-01,2.0\n")

@@ -70,6 +70,42 @@ def test_math_commands_load_no_dataclasses_inspect_or_typing(code):
     assert loaded == "[]"
 
 
+def _math_command_outputs(python) -> list[tuple[int, str, str]]:
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = [subprocess.run([str(python), "-S", "-m", "sigmatail", *argv],
+                           capture_output=True, text=True, env=env) for argv in MATH_COMMANDS]
+    return [(run.returncode, run.stdout, run.stderr) for run in runs]
+
+
+def _sibling_pythons() -> list[Path]:
+    """Every other CPython >= 3.10 installed beside this one, as pyenv keeps
+    them: the floor that pyproject.toml states and up."""
+    here = Path(sys.base_prefix).resolve()
+    probe = "import sys; print(sys.version_info >= (3, 10) and sys.implementation.name == 'cpython')"
+    found = []
+    for prefix in sorted(here.parent.iterdir()):
+        python = prefix / "bin" / "python3"
+        if prefix.resolve() == here or not python.is_file():
+            continue
+        run = subprocess.run([str(python), "-S", "-c", probe], capture_output=True, text=True,
+                             env={"PATH": "/usr/bin:/bin"})
+        if run.stdout.strip() == "True":
+            found.append(python)
+    return found
+
+
+def test_math_commands_agree_on_every_python():
+    # the printed digits must not depend on the interpreter's float
+    # formatting or math library
+    siblings = _sibling_pythons()
+    if not siblings:
+        pytest.skip("no other CPython >= 3.10 beside this one")
+    want = _math_command_outputs(sys.executable)
+    assert [code for code, *_ in want] == [0] * len(MATH_COMMANDS)
+    for python in siblings:
+        assert _math_command_outputs(python) == want, python
+
+
 def test_library_math_loads_no_re_enum_or_functools():
     # a parse, a tail and a >= (Python's reflected <=) run without them
     code = ("import sigmatail.gauss, sigmatail.scales, sigmatail.studentt\n"

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from sigmatail import magnitude as mg
 from sigmatail.errors import DomainError, ParseError
+from sigmatail.gauss import occurrence_days, occurrence_years, streak_probability
 from sigmatail.magnitude import (
     Magnitude, ONE, ZERO, format_sci, from_real, from_sci, parse, pow_int,
 )
+from sigmatail.scales import compare_to_references, lottery_equivalent, order_gap
 
 # frozen from a 60-digit log10 oracle
 LOG10_4E_MINUS7 = -6.39794000867203761
@@ -107,7 +109,7 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             ONE / ZERO
         with pytest.raises(DomainError):
-            ZERO.recip()
+            ZERO / ZERO
 
     def test_pow_of_zero(self):
         assert pow_int(ZERO, 3).is_zero
@@ -128,7 +130,7 @@ class TestArithmetic:
         with pytest.raises(DomainError, match="exponent out of supported range"):
             big * big
         with pytest.raises(DomainError, match="exponent out of supported range"):
-            big / big.recip()
+            big / (ONE / big)
 
     def test_operators(self):
         a, b = from_real(2.0), from_real(8.0)
@@ -419,3 +421,20 @@ def test_format_parse_round_trip(L, digits):
     m = Magnitude(L)
     back = parse(format_sci(m, digits))
     assert abs(back.log10_value - m.log10_value) <= 1e-12
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pow_int(2.0, 3), "a must be a Magnitude"),
+    (lambda: format_sci(0.5), "a must be a Magnitude"),
+    (lambda: occurrence_days(0.5), "p must be a Magnitude"),
+    (lambda: occurrence_years(0.5), "p must be a Magnitude"),
+    (lambda: streak_probability(0.5, 2), "a must be a Magnitude"),
+    (lambda: order_gap(ONE, 2.0), "b must be a Magnitude"),
+    (lambda: compare_to_references(1e5), "years must be a Magnitude"),
+    (lambda: lottery_equivalent(0.5), "p must be a Magnitude"),
+    (lambda: lottery_equivalent(from_real(1e-6), 0.5), "model must be a LotteryModel"),
+], ids=["pow_int", "format_sci", "occurrence_days", "occurrence_years", "streak_probability",
+        "order_gap", "compare_to_references", "lottery_equivalent", "lottery_equivalent-model"])
+def test_argument_of_the_wrong_type_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
