@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 
-from . import gauss, scales
+from . import gauss
 from .errors import DomainError, ParseError
 from .magnitude import Magnitude, format_sci, parse, pow_int
 
@@ -32,7 +32,7 @@ _FORMATS = ("text", "csv", "md", "json")
 def _env_days_per_year() -> int:
     raw = os.environ.get(ENV_DAYS_PER_YEAR)
     if raw is None:
-        return 250
+        return gauss.DEFAULT_DAYS_PER_YEAR
     try:
         value = int(raw)
     except ValueError:
@@ -153,6 +153,8 @@ def _cmd_streak(args, out, err) -> int:
 
 
 def _cmd_lottery(args, out, err) -> int:
+    from . import scales  # only lottery, context and ttail use it
+
     p = parse(args.p)
     model = scales.LotteryModel(parse(args.win_prob)) if args.win_prob else scales.DEFAULT_LOTTERY
     n_low, n_high = scales.lottery_equivalent(p, model)
@@ -168,6 +170,8 @@ def _cmd_invert(args, out, err) -> int:
 
 
 def _cmd_context(args, out, err) -> int:
+    from . import scales
+
     d = args.digits
     r = gauss.gauss_tail(args.k, days_per_year=args.dpy)
     refs = scales.load_reference_scales(args.refs) if args.refs else scales.BUILTIN_SCALES
@@ -192,7 +196,7 @@ def _cmd_context(args, out, err) -> int:
 
 
 def _cmd_ttail(args, out, err) -> int:
-    from . import studentt  # only this command uses it
+    from . import scales, studentt  # studentt: only this command uses it
 
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)

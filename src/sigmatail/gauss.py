@@ -8,8 +8,9 @@ cover the whole range of k:
   ``1 - cdf(k)`` in working precision would cancel to zero around k = 8.
 * ``asymptotic`` (k >= 8): the large-argument expansion of erfc evaluated
   entirely in the log10 domain, with the alternating correction series
-  summed in ordinary floats and truncated at its smallest term.  Valid to
-  k = 1e6.
+  summed in ordinary floats and truncated at its smallest term.  log10 p is
+  seven addends (k^2 split by a Dekker product) that ``math.fsum`` adds
+  exactly and rounds once.  Valid to k = 1e6.
 
 ``auto``, the default, takes ``exact`` up to k = 9 and ``asymptotic``
 beyond.  A third mode, ``paper_appendix``, reproduces a legacy fixed
@@ -75,7 +76,7 @@ class TailResult(namedtuple("TailResult", "k probability days_per_year diagnosti
 
 
 # ---------------------------------------------------------------------------
-# compensated double arithmetic helpers
+# error-free double arithmetic helpers
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -93,23 +94,10 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-def _neumaier_sum(terms) -> float:
-    """Compensated sum: accurate to ~1 ulp of the true total."""
-    s = 0.0
-    c = 0.0
-    for t in terms:
-        tmp = s + t
-        if abs(s) >= abs(t):
-            c += (s - tmp) + t
-        else:
-            c += (t - tmp) + s
-        s = tmp
-    return s + c
-
-
 def _neg_half_ksq_log10e(k: float) -> tuple[float, float, float, float]:
-    """-(k^2/2)*log10(e) as four addends whose compensated sum is exact to
-    ~1 ulp; k^2 itself is formed without rounding via a Dekker product."""
+    """-(k^2/2)*log10(e) as four addends whose exact sum is within a small
+    fraction of an ulp of it; k^2 itself is formed without rounding via a
+    Dekker product."""
     k2_hi, k2_lo = _two_prod(k, k)
     a_hi, a_lo = _two_prod(k2_hi, _HALF_LOG10E_HI)
     return (-a_hi, -a_lo, -k2_hi * _HALF_LOG10E_LO, -k2_lo * _HALF_LOG10E_HI)
@@ -145,8 +133,8 @@ def _log10_tail(k: float, s: float) -> float:
     """log10 of the tail p = exp(-y^2) / (2 y sqrt(pi)) * S, y = k/sqrt(2),
     for a correction factor S, assembled as
     log10 p = -(k^2/2) log10(e) - log10(k) - log10(2 pi)/2 + log10(S)."""
-    return _neumaier_sum((*_neg_half_ksq_log10e(k), -math.log10(k), -_HALF_LOG10_2PI,
-                          math.log10(s)))
+    return math.fsum((*_neg_half_ksq_log10e(k), -math.log10(k), -_HALF_LOG10_2PI,
+                      math.log10(s)))
 
 
 def _log10_tail_series(k: float) -> tuple[float, int, float]:
@@ -281,7 +269,8 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     lo, hi = 0.0, MAX_K
     # start from the asymptote's leading term, above the root: log10 p is
     # concave, so the Newton steps then approach the root from above
-    k = min(math.sqrt(max(-2.0 * target * _LN10, 1.0)), MAX_K)
+    # (target <= log10(1/2) puts the radicand at >= 2 ln 2)
+    k = min(math.sqrt(-2.0 * target * _LN10), MAX_K)
     while True:
         log10_p = _log10_tail_auto(k)[1]
         if log10_p > target:

@@ -83,13 +83,10 @@ class Magnitude:
         if self._zero:
             return 0.0, 0
         exp = math.floor(self._log10)
-        mant = 10.0 ** (self._log10 - exp)
-        if mant >= 10.0:
+        mant = 10.0 ** (self._log10 - exp)  # >= 1, as the fraction is >= 0
+        if mant >= 10.0:  # the fraction rounded up to 1
             mant /= 10.0
             exp += 1
-        elif mant < 1.0:
-            mant *= 10.0
-            exp -= 1
         return mant, int(exp)
 
     # arithmetic -----------------------------------------------------------

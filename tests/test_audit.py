@@ -553,6 +553,18 @@ class TestSeriesValidation:
         with pytest.raises(DomainError):
             Series(np.array(["2007-08-10", "2007-08-09"], "datetime64[D]"), np.array([1.0, 2.0]))
 
+    def test_rejects_non_numeric_values(self):
+        with pytest.raises(DomainError, match="values must be real numbers, got <U1"):
+            Series(np.array(["2007-08-09"], "datetime64[D]"), ["a"])
+
+    @pytest.mark.parametrize("dates, values", [
+        (["2007-08-09", "2007-08-10"], [1.0]),
+        ([["2007-08-09", "2007-08-10"]], [[1.0, 2.0]]),
+    ], ids=["length mismatch", "2-D"])
+    def test_rejects_bad_shapes(self, dates, values):
+        with pytest.raises(DomainError, match="dates and values must be 1-D and of equal length"):
+            Series(np.array(dates, "datetime64[D]"), np.array(values))
+
 
 class TestEstimateMoments:
     def test_full_sample_hand_arithmetic(self):

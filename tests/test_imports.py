@@ -1,8 +1,9 @@
 """numpy loads only for the command that uses it, and scipy for none; a
 bare ``import sigmatail`` loads none of its submodules, and the CLI neither
-decimal nor json, each of which has one rare user, nor the dataclasses,
-inspect or typing that plain named tuples do not need.  A library user's
-math loads neither re, enum nor functools.
+decimal nor json, each of which has one rare user, nor ``scales`` outside
+the three commands that use it, nor the dataclasses, inspect or typing that
+plain named tuples do not need.  A library user's math loads neither re,
+enum nor functools.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -47,6 +48,8 @@ def test_gauss_tail_loads_no_numpy_or_scipy():
 
 MATH_COMMANDS = [
     ["prob", "2"],
+    ["prob", "25", "--digits", "15"],
+    ["prob", "1e5", "--digits", "15"],
     ["table", "--ks", "3,6,25", "--format", "json"],
     ["occurrence", "25"],
     ["streak", "5", "--days", "3"],
@@ -57,13 +60,18 @@ MATH_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", MATH_COMMANDS, ids=lambda argv: argv[0])
+def _command_id(argv) -> str:
+    # the command's name, and the whole argv for the runs that pin 15 digits
+    return " ".join(argv) if "--digits" in argv else argv[0]
+
+
+@pytest.mark.parametrize("argv", MATH_COMMANDS, ids=_command_id)
 def test_math_only_commands_load_no_numpy_or_scipy(argv):
     assert _loaded_after(_cli(argv)) == "[]"
 
 
 @pytest.mark.parametrize("code", ["import sigmatail.cli", *map(_cli, MATH_COMMANDS)],
-                         ids=["import", *(argv[0] for argv in MATH_COMMANDS)])
+                         ids=["import", *map(_command_id, MATH_COMMANDS)])
 def test_math_commands_load_no_dataclasses_inspect_or_typing(code):
     # -S: no site .pth file may load these first and hide an import of ours
     loaded = _loaded_after(code, ("dataclasses", "inspect", "typing"), flags=("-S",))
@@ -127,6 +135,14 @@ def test_bare_import_loads_no_submodule():
 
 def test_import_cli_loads_no_decimal_or_json():
     assert _loaded_after("import sigmatail.cli", ("decimal", "json")) == "[]"
+
+
+@pytest.mark.parametrize("code", ["import sigmatail.cli", _cli(["prob", "2"])],
+                         ids=["import", "prob"])
+def test_cli_loads_scales_only_for_its_commands(code):
+    loaded = _loaded_after(code, ("sigmatail",))
+    assert "sigmatail.gauss" in loaded
+    assert "sigmatail.scales" not in loaded
 
 
 def test_audit_loads_numpy(tmp_path):

@@ -226,6 +226,9 @@ class TestFormat:
     def test_negative_exponent_no_leading_zeros(self):
         assert format_sci(parse("3.057e-006"), 4) == "3.057e-6"
 
+    def test_str_prints_six_digits(self):
+        assert str(from_real(2.5)) == "2.50000e+0"
+
     @pytest.mark.parametrize("digits", [0, 18, -1, 3.5, True])
     def test_digit_bounds(self, digits):
         with pytest.raises(DomainError):
@@ -256,6 +259,10 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse(bad)
+
+    def test_non_text(self):
+        with pytest.raises(ParseError, match="^expected text, got float$"):
+            parse(3.0)
 
     @pytest.mark.parametrize("text", ["\u0663e-5", "1e-\u0665", "\u00a03e-5", "3e-5\u2028"])
     def test_non_ascii_digits_and_spaces_rejected(self, text):
