@@ -60,7 +60,7 @@ _DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
 _DAY_ZEROS = _word(b"00,")
 _DAY_MAX = _word(b"\x09\x09\x00")
 # calendar tables: by the four year digits, and by the two month digits plus
-# 100 in a leap year (year 0 counts as one, and Series rejects its dates)
+# 100 in a leap year (year 0 counts as one; its ordinals, <= 0, fail the order check)
 _YEARS = np.arange(10000)
 _YEAR_ROW = 100 * ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0)))
 _DAYS_BEFORE_YEAR = ((_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100
@@ -139,23 +139,12 @@ def load_series(path) -> Series:
     """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
 
     The file must be UTF-8; a byte-order mark is skipped.  Errors name the
-    first offending row (1-based, header is row 1).  The bytes are read in
-    blocks of whole lines, each line end made "\\n" as in text mode; a block
-    of plain ``YYYY-MM-DD,value`` lines is parsed in bulk, and any other
-    (quoted fields, blank lines, a bad row) is decoded and read row by row
-    with ``csv``.  Series alone checks that values are finite and dates
-    increase; a file that fails any check is read again row by row."""
-    try:
-        return Series(*_read_columns(path, bulk=True), source_label=str(path))
-    except DomainError as exc:
-        rejected = exc
-    _read_columns(path, bulk=False)  # raises at the first bad row
-    raise rejected
-
-
-def _read_columns(path, bulk: bool):
-    """(dates, values) of the rows: each block by _parse_block if ``bulk``,
-    and otherwise, or where that returns None, by _parse_rows."""
+    first offending row (1-based, header is row 1).  The bytes are read once,
+    in blocks of whole lines, each line end made "\\n" as in text mode.  A
+    block of plain ``YYYY-MM-DD,value`` lines with finite values and
+    increasing dates is parsed in bulk; any other (quoted fields, blank
+    lines, a bad row) is decoded and read row by row with ``csv``, which
+    raises at the first bad row."""
     day_blocks, value_blocks = [], []
     try:
         with open(path, "rb") as fh:
@@ -172,7 +161,7 @@ def _read_columns(path, bulk: bool):
             while block := fh.read(_BLOCK_CHARS) + _rest_of_line(fh):
                 if b"\r" in block:  # end the lines as text mode does
                     block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                columns = bulk and _parse_block(block)
+                columns = _parse_block(block, last_day)
                 days, values = columns or _parse_rows(path, block.decode(), first_row, last_day)
                 if days.size:
                     day_blocks.append(days)
@@ -191,7 +180,7 @@ def _read_columns(path, bulk: bool):
     days -= _EPOCH_ORDINAL
     values = np.concatenate(value_blocks)
     value_blocks.clear()
-    return days.view("datetime64[D]"), values
+    return Series(days.view("datetime64[D]"), values, source_label=str(path))
 
 
 def _rest_of_line(fh) -> bytes:
@@ -206,9 +195,10 @@ def _rest_of_line(fh) -> bytes:
     return bytes(line + fh.read(line.endswith(b"\r") and fh.peek(1).startswith(b"\n")))
 
 
-def _parse_block(block: bytes):
-    """(day ordinals, values) of a block of bytes whose lines all have the
-    syntax of plain ``YYYY-MM-DD,value`` rows; None for any other block.
+def _parse_block(block: bytes, last_day: int):
+    """(day ordinals, values) of a block of bytes whose lines are all plain
+    ``YYYY-MM-DD,value`` rows, with finite values and days that increase
+    from after the ordinal ``last_day``; None for any other block.
 
     The block is parsed as one array of bytes, padded so that every line has
     _CELL_WIDTH bytes before its newline and 16 from its start."""
@@ -217,7 +207,8 @@ def _parse_block(block: bytes):
     ends = np.flatnonzero(raw[_CELL_WIDTH:-8] == ord("\n")) + _CELL_WIDTH
     starts = np.r_[_CELL_WIDTH, ends[:-1] + 1]
     width = ends - starts - len("YYYY-MM-DD,")  # of each value cell
-    if width.min() < 1 or (days := _day_ordinals(raw, starts)) is None:
+    if (width.min() < 1 or (days := _day_ordinals(raw, starts)) is None
+            or days[0] <= last_day or np.any(days[1:] <= days[:-1])):
         return None
     values, slow = _decimal_values(raw, ends, width)
     slow = np.flatnonzero(slow)
@@ -227,7 +218,8 @@ def _parse_block(block: bytes):
                                                           stops.tolist())]
     except ValueError:
         return None
-    return days, values
+    # only float() cells can be inf or nan: the bulk path's m is below 1e19
+    return (days, values) if np.isfinite(values[slow]).all() else None
 
 
 def _words(raw: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:

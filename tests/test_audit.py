@@ -324,14 +324,44 @@ class TestLoaderDifferential:
         monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
         blocks = []
         parse_block = audit._parse_block
-        monkeypatch.setattr(audit, "_parse_block",
-                            lambda block: blocks.append(block.decode()) or parse_block(block))
+        monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
+            blocks.append(block.decode()) or parse_block(block, last_day)))
         path = tmp_path / "s.csv"
         path.write_text(_differential_text(name, block_chars))
         _outcome(_columns, path)
         row = DIFFERENTIAL_FILES[name][0]
         first = blocks[1].split("\n", 1)[0]
         assert first == (blocks[0].splitlines()[-1] if row == "dup" else row)
+
+
+_MUTATIONS = ["backwards", "duplicate", "inf", "nan", "1e400", "oops", "blank line",
+              "quoted field", "0000-01-01"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 60), at=st.integers(0, 59), mutation=st.sampled_from(_MUTATIONS),
+       block_chars=st.sampled_from([1, 2, 16, 64, 1 << 16]))
+def test_one_mutated_row_against_reference(csv_path, n, at, mutation, block_chars):
+    # the mutated row falls anywhere in a block, its first row included, so
+    # the bulk order check meets every block boundary
+    rows = _daily_rows(n)
+    i = at % n
+    day, value = rows[i].split(",")
+    if mutation == "backwards":
+        rows[i] = f"1999-12-31,{value}"
+    elif mutation == "duplicate":
+        rows.insert(i + 1, rows[i])
+    elif mutation == "blank line":
+        rows.insert(i, "")
+    elif mutation == "quoted field":
+        rows[i] = f'"{day}",{value}'
+    elif mutation == "0000-01-01":
+        rows[i] = f"{mutation},{value}"
+    else:
+        rows[i] = f"{day},{mutation}"
+    csv_path.write_text("\n".join(["date,value", *rows, ""]))
+    with mock.patch.object(audit, "_BLOCK_CHARS", block_chars):
+        assert _outcome(_columns, csv_path) == _outcome(reference_load_series, csv_path)
 
 
 def _no_fallback(monkeypatch):
@@ -347,8 +377,8 @@ def _cell_file(path, n, newline="\n", prefix=b""):
 
 class TestBytesLoader:
     """The loader reads bytes: line ends as text mode reads them, a BOM, the
-    bulk path on CRLF files, and the row-by-row re-read of a file that
-    Series rejects."""
+    bulk path on CRLF files, and the one read of a file with a bad row, in
+    which only the block that holds it is read row by row."""
 
     def test_lone_cr_file_read_in_blocks(self, tmp_path):
         # a file without "\n" is still read a block at a time
@@ -388,19 +418,38 @@ class TestBytesLoader:
         assert str(exc.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
 
     @pytest.mark.parametrize("bad", ["inf", "1e400", "nan", "backwards"])
-    def test_rejected_by_series_names_the_row(self, tmp_path, monkeypatch, bad):
-        # every block passes the bulk parser, so only Series can reject the
-        # file; the row-by-row re-read then names row 32
+    def test_bulk_refuses_only_the_block_of_the_bad_row(self, tmp_path, monkeypatch, bad):
+        # each of these rows has plain syntax: the bulk parser refuses its
+        # block for the order or finiteness alone, and the row-by-row read
+        # of that block names row 32
         monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
         path = tmp_path / "s.csv"
         rows = _daily_rows(40)
         rows[30] = "1999-12-31,1" if bad == "backwards" else f"{rows[30][:10]},{bad}"
         path.write_text("\n".join(["date,value", *rows, ""]))
-        parse_block, bulk = audit._parse_block, []
-        monkeypatch.setattr(audit, "_parse_block", lambda b: bulk.append(parse_block(b)) or bulk[-1])
+        parse_block, refused = audit._parse_block, []
+        monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
+            parse_block(block, last_day) or refused.append(block.decode().splitlines())))
         with pytest.raises(DomainError, match="row 32: ") as exc:
             load_series(path)
-        assert None not in bulk
+        assert len(refused) == 1 and rows[30] in refused[0]
+        assert str(exc.value) == _outcome(reference_load_series, path)
+
+    @pytest.mark.parametrize("bad", ["abc", "inf", "backwards"])
+    def test_a_bad_last_row_is_read_once(self, tmp_path, monkeypatch, bad):
+        # the blocks before the bad row are parsed in bulk once, and only
+        # the block that holds it is read row by row
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
+        path = tmp_path / "s.csv"
+        rows = _daily_rows(40)
+        rows[-1] = "1999-12-31,1" if bad == "backwards" else f"{rows[-1][:10]},{bad}"
+        path.write_text("\n".join(["date,value", *rows, ""]))
+        parse_rows = mock.Mock(wraps=audit._parse_rows)
+        monkeypatch.setattr(audit, "_parse_rows", parse_rows)
+        monkeypatch.setattr(audit, "open", mock.Mock(wraps=open), raising=False)
+        with pytest.raises(DomainError, match="row 41: ") as exc:
+            load_series(path)
+        assert parse_rows.call_count == 1 and audit.open.call_count == 1
         assert str(exc.value) == _outcome(reference_load_series, path)
 
     @settings(max_examples=300, deadline=None)

@@ -640,7 +640,8 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "sigmatail", "prob", "2"],
             capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
             cwd=root,
         )
         assert proc.returncode == 0

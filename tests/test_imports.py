@@ -28,7 +28,7 @@ def _loaded_after(code: str, roots=("numpy", "scipy"), flags=()) -> str:
     proc = subprocess.run(
         [sys.executable, *flags, "-c", f"{code}\n{report}"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
