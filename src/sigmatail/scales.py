@@ -114,15 +114,8 @@ def compare_to_references(years: Magnitude,
         raise DomainError("years must be nonzero")
     if not refs:
         raise DomainError("reference list is empty")
-    out = []
-    for ref in refs:
-        out.append(ReferenceComparison(
-            name=ref.name,
-            kind=ref.kind,
-            ratio_low=years / ref.low,
-            ratio_high=years / ref.high,
-        ))
-    return out
+    return [ReferenceComparison(ref.name, ref.kind, years / ref.low, years / ref.high)
+            for ref in refs]
 
 
 def load_reference_scales(path) -> tuple[ReferenceScale, ...]:
