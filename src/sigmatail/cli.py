@@ -4,19 +4,16 @@ Subcommands wrap the library one-to-one; everything prints deterministic,
 locale-independent text.  Results go to stdout, diagnostics and errors to
 stderr.  Exit codes: 0 success, 2 usage error, 3 domain error.
 
-days_per_year defaults to 250 and may be overridden globally with the
-SIGMATAIL_DAYS_PER_YEAR environment variable or per command with --dpy.
+days_per_year defaults to 250 and may be overridden per command with --dpy.
 
-The parser is built once per process and days-per-year default, so repeated
-in-process ``main`` calls do not pay again for building it (README, "Calling
-the CLI in-process").
+The parser is built once per process, so repeated in-process ``main`` calls
+do not pay again for building it (README, "Calling the CLI in-process").
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import warnings
 
@@ -24,22 +21,7 @@ from . import gauss
 from .errors import DomainError, ParseError
 from .magnitude import Magnitude, format_sci, parse, pow_int
 
-ENV_DAYS_PER_YEAR = "SIGMATAIL_DAYS_PER_YEAR"
-
 _FORMATS = ("text", "csv", "md", "json")
-
-
-def _env_days_per_year() -> int:
-    raw = os.environ.get(ENV_DAYS_PER_YEAR)
-    if raw is None:
-        return gauss.DEFAULT_DAYS_PER_YEAR
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_DAYS_PER_YEAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise DomainError(f"{ENV_DAYS_PER_YEAR} must be >= 1, got {value}")
-    return value
 
 
 def _mag_json(m: Magnitude) -> dict:
@@ -259,13 +241,13 @@ def _add_digits(p):
                    help="significant digits for printed values (1-15, default 4)")
 
 
-def _add_dpy(p, default_dpy):
-    p.add_argument("--dpy", type=int, default=default_dpy,
-                   help=f"trading days per year (default {default_dpy})")
+def _add_dpy(p):
+    p.add_argument("--dpy", type=int, default=gauss.DEFAULT_DAYS_PER_YEAR,
+                   help=f"trading days per year (default {gauss.DEFAULT_DAYS_PER_YEAR})")
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser(default_dpy: int) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmatail",
         description="Extreme-tail probabilities of k-sigma events, occurrence "
@@ -277,25 +259,25 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("k", type=float)
     p.add_argument("--mode", choices=gauss._MODES, default="auto")
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("table", help="one row per k: percent, occurrence days/years")
     p.add_argument("--ks", required=True, help="comma-separated sigma levels, e.g. 3,4,5,6,7")
     p.add_argument("--format", choices=_FORMATS, default="text")
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("occurrence", help="expected-occurrence period for k or a probability")
     p.add_argument("k", type=float, nargs="?", default=None)
     p.add_argument("--p", help="probability in scientific or decimal text form")
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("streak", help="odds of m consecutive k-sigma days")
     p.add_argument("k", type=float)
     p.add_argument("--days", type=int, required=True)
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("lottery", help="bracket a probability between consecutive-win streaks")
     p.add_argument("--p", required=True)
@@ -304,7 +286,7 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="sigma level whose occurrence period matches --years")
     p.add_argument("--years", required=True)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("context", help="reference-scale comparisons for a k-sigma event")
     p.add_argument("k", type=float)
@@ -312,7 +294,7 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("--baseline-years", dest="baseline_years", default=None,
                    help="also print the order gap vs this period")
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     p = sub.add_parser("ttail", help="Student-t upper tail and gap vs the Gaussian")
     p.add_argument("k", type=float)
@@ -329,7 +311,7 @@ def build_parser(default_dpy: int) -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("loss", "both"), default="loss")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_digits(p)
-    _add_dpy(p, default_dpy)
+    _add_dpy(p)
 
     return parser
 
@@ -338,7 +320,7 @@ def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        parser = build_parser(_env_days_per_year())
+        parser = build_parser()
         args = parser.parse_args(argv)
         digits = getattr(args, "digits", 4)
         if not 1 <= digits <= 15:

@@ -46,6 +46,9 @@ ASYMPTOTIC_MIN_K = 8.0
 # Series terms are dropped once below this relative size.
 REL_TERM_FLOOR = 1e-18
 
+# sigma_for_period's Newton steps never exceed 6 tail evaluations
+_MAX_NEWTON_STEPS = 8
+
 # log10(e)/2 as a two-double split, so -(k^2/2)*log10(e) carries no constant
 # error even when k^2 reaches 1e12.
 _HALF_LOG10E_HI = 0.2171472409516259
@@ -233,6 +236,8 @@ def occurrence_days(p: Magnitude) -> Magnitude:
     _check_magnitude(p, "p")
     if p.is_zero:
         raise DomainError("occurrence period of a zero probability")
+    if p.log10_value > 0.0:
+        raise DomainError("probability must be <= 1")
     return ONE / p
 
 
@@ -245,16 +250,19 @@ def streak_probability(p: Magnitude, m: int) -> Magnitude:
     """Probability of m independent consecutive occurrences: p**m."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError("streak length must be a positive integer")
-    return pow_int(p, m)
+    streak = pow_int(p, m)  # checks that p is a Magnitude
+    if p.log10_value > 0.0:
+        raise DomainError("probability must be <= 1")
+    return streak
 
 
 def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> float:
     """Invert the occurrence mapping: the k whose expected-occurrence period
-    equals ``years``.  Newton on log10 p(k) inside a shrinking [lo, hi]
-    bracket on [0, 1e6], bisecting whenever a step leaves it; the result is
-    within 1e-9 + 1e-15*k of the root.  It takes at most 6 tail evaluations
-    for periods below a year, 3 below about 10**15.5 years, 2 below about
-    10**5091, and 1 beyond."""
+    equals ``years``.  Newton on log10 p(k), which is concave, so every step
+    lands at or above the root and the iterates then fall toward it; the
+    result is within 1e-9 + 1e-15*k of the root.  It takes at most 6 tail
+    evaluations for periods below a year, 3 below about 10**15.5 years, 2
+    below about 10**5091, and 1 beyond."""
     days_per_year = _validate_dpy(days_per_year)
     _check_magnitude(years, "years")
     if years.is_zero:
@@ -267,27 +275,18 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
         )
     if target < _LOG10_TAIL_AT_MAX_K:
         raise DomainError(f"period beyond the supported range (k <= {MAX_K:g})")
-    lo, hi = 0.0, MAX_K
     # start at the three-term asymptotic root (DLMF 7.17(iii)), L = -ln p, or
-    # at sqrt(2L) where its radicand is <= 1 (L < 1.944); a start below the
-    # root steps above it, as log10 p is concave
+    # at sqrt(2L) where its radicand is <= 1 (L < 1.944)
     two_l = -2.0 * target * _LN10
     a = math.log(2.0 * math.pi * two_l)
     k2 = two_l - a + (a - 2.0) / two_l
     k = min(math.sqrt(k2 if k2 > 1.0 else two_l), MAX_K)
-    while True:
+    for _ in range(_MAX_NEWTON_STEPS):
         log10_p = _log10_tail_auto(k)[1]
-        if log10_p > target:
-            lo = k
-        else:
-            hi = k
         # d log10 p / dk = -phi(k) / (p ln 10), with phi the normal density
         log10_phi = -k * k * _HALF_LOG10E_HI - _HALF_LOG10_2PI
         step = (log10_p - target) * _LN10 / 10.0 ** (log10_phi - log10_p)
         if abs(step) <= 2.5e-10:
             return k + step
         k += step
-        if not lo < k < hi:
-            k = 0.5 * (lo + hi)
-        if hi - lo <= 1e-9:
-            return k
+    raise ArithmeticError(f"Newton inversion for log10 p = {target!r} did not converge")

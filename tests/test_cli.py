@@ -238,6 +238,14 @@ class TestOccurrence:
         assert run_cli(["occurrence"])[0] == 3
         assert run_cli(["occurrence", "2", "--p", "0.5"])[0] == 3
 
+    def test_probability_above_one(self):
+        assert run_cli(["occurrence", "--p", "1.5"]) == (3, "", "error: probability must be <= 1\n")
+
+    def test_probability_one(self):
+        code, out, _ = run_cli(["occurrence", "--p", "1"])
+        assert code == 0
+        assert "occurrence_days: 1.000e+0\n" in out
+
     def test_tiny_probability_text(self):
         # inverting the literal 4-digit probability, not the k=25 tail, so
         # the mantissa lands at 1.3085 rather than 1.3086
@@ -521,7 +529,7 @@ class TestAudit:
     def test_side_choices_match_audit(self):
         from sigmatail import audit
 
-        parser = cli.build_parser(250)
+        parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         side = next(a for a in subparsers.choices["audit"]._actions if a.dest == "side")
         assert tuple(side.choices) == audit._SIDES
@@ -564,31 +572,20 @@ class TestAudit:
 
 
 class TestEnvironment:
-    def test_env_days_per_year(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "365")
+    def test_days_per_year_not_read_from_environment(self, monkeypatch, capsys):
+        # --dpy is the one way to set the trading-day convention
+        monkeypatch.setenv("SIGMATAIL_DAYS_PER_YEAR", "365")
         code, out, _ = run_cli(["prob", "2"])
         assert code == 0
-        assert "occurrence_years: 1.204e-1" in out  # 43.9558 / 365
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "365")
-        _, out, _ = run_cli(["prob", "2", "--dpy", "250"])
-        assert "occurrence_years: 1.758e-1" in out
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "soon")
-        code, _, err = run_cli(["prob", "2"])
-        assert code == 3
-
-    def test_zero_env_value(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, "0")
-        message = f"error: {cli.ENV_DAYS_PER_YEAR} must be >= 1, got 0\n"
-        assert run_cli(["prob", "2"]) == (3, "", message)
+        assert "occurrence_years: 1.758e-1" in out  # 43.9558 / 250
+        with pytest.raises(SystemExit):
+            run_cli(["prob", "--help"])
+        assert "(default 250)" in capsys.readouterr().out
 
 
 class TestParserReuse:
-    """main builds the parser once per days-per-year default and looks the
-    handler up by name on every call."""
+    """main builds the parser once per process and looks the handler up by
+    name on every call."""
 
     ARGVS = (["prob", "2"], ["table", "--ks", "3,4"], ["occurrence", "--p", "1e-6"],
              ["streak", "3", "--days", "2"], ["lottery", "--p", "1e-30"],
@@ -596,7 +593,6 @@ class TestParserReuse:
              ["prob", "25", "--mode", "exact"], ["table", "--ks", "x"])
 
     def test_parsers_built_once(self, monkeypatch):
-        monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR, raising=False)
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -609,22 +605,6 @@ class TestParserReuse:
         for i in range(50):
             assert run_cli(self.ARGVS[i % len(self.ARGVS)])[0] in (0, 3)
         assert len(built) <= 10  # the top level and nine subcommands, once
-
-    def test_env_change_rebuilds(self, monkeypatch, capsys):
-        years = []
-        for env in ("365", None, "365"):
-            if env is None:
-                monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR)
-            else:
-                monkeypatch.setenv(cli.ENV_DAYS_PER_YEAR, env)
-            out = run_cli(["prob", "2"])[1]
-            years.append(next(l for l in out.splitlines() if l.startswith("occurrence_years")))
-        assert years == ["occurrence_years: 1.204e-1", "occurrence_years: 1.758e-1",
-                         "occurrence_years: 1.204e-1"]
-        monkeypatch.delenv(cli.ENV_DAYS_PER_YEAR)
-        with pytest.raises(SystemExit):
-            run_cli(["prob", "--help"])
-        assert "(default 250)" in capsys.readouterr().out
 
     def test_handler_looked_up_at_call_time(self, monkeypatch):
         assert run_cli(["prob", "2"])[0] == 0

@@ -336,6 +336,18 @@ class TestConversions:
         with pytest.raises(DomainError):
             occurrence_days(ZERO)
 
+    @pytest.mark.parametrize("text", ["1.5", "1.0000001", "1e300"])
+    def test_probability_above_one(self, text):
+        p = parse(text)
+        for call in (lambda: occurrence_days(p), lambda: occurrence_years(p, 250),
+                     lambda: streak_probability(p, 2)):
+            with pytest.raises(DomainError, match="^probability must be <= 1$"):
+                call()
+
+    def test_probability_one(self):
+        assert occurrence_years(ONE, 250).log10_value == -math.log10(250)
+        assert streak_probability(ONE, 3) == ONE
+
     def test_streak(self):
         p = parse("3.057e-136")
         assert format_sci(streak_probability(p, 2), 4) == "9.345e-272"
@@ -427,6 +439,65 @@ class TestSigmaForPeriod:
         # the Newton steps; the range check reads a constant
         max_calls = next(n for top, n in self.MAX_CALLS if log10_years <= top)
         assert 1 <= len(calls) <= max_calls
+
+    def test_matches_bracketed_newton(self):
+        # the loop that kept Newton inside a shrinking [lo, hi] bracket and
+        # bisected whenever a step left it
+        def reference(log10_years, dpy):
+            target = -(log10_years + math.log10(dpy))
+            lo, hi = 0.0, gauss.MAX_K
+            two_l = -2.0 * target * gauss._LN10
+            a = math.log(2.0 * math.pi * two_l)
+            k2 = two_l - a + (a - 2.0) / two_l
+            k = min(math.sqrt(k2 if k2 > 1.0 else two_l), gauss.MAX_K)
+            while True:
+                log10_p = gauss._log10_tail_auto(k)[1]
+                if log10_p > target:
+                    lo = k
+                else:
+                    hi = k
+                log10_phi = -k * k * gauss._HALF_LOG10E_HI - gauss._HALF_LOG10_2PI
+                step = (log10_p - target) * gauss._LN10 / 10.0 ** (log10_phi - log10_p)
+                if abs(step) <= 2.5e-10:
+                    return k + step
+                k += step
+                if not lo < k < hi:
+                    k = 0.5 * (lo + hi)
+                if hi - lo <= 1e-9:
+                    return k
+
+        def accepted(log10_years, dpy):
+            try:
+                sigma_for_period(Magnitude(log10_years), dpy)
+            except DomainError:
+                return False
+            return True
+
+        rng = np.random.default_rng(21)
+        cases = []
+        for dpy in (1, 250, 252, 365, 10**6):
+            shortest = math.log10(2.0) - math.log10(dpy)
+            longest = -gauss._LOG10_TAIL_AT_MAX_K - math.log10(dpy)
+            # the first 10 accepted doubles inward from each end of the domain
+            for x, inward in ((shortest, math.inf), (longest, -math.inf)):
+                while not accepted(x, dpy):
+                    x = math.nextafter(x, inward)
+                for _ in range(10):
+                    cases.append((x, dpy))
+                    x = math.nextafter(x, inward)
+            cases += [(float(x), dpy) for x in rng.uniform(shortest, longest, 1000)]
+            cases += [(-gauss._log10_tail_auto(float(k))[1] - math.log10(dpy), dpy)
+                      for k in 10.0 ** rng.uniform(-6.0, 6.0, 2000)]
+        # both sides of the auto-mode switch at k = 9
+        cases += [(-gauss._log10_tail_auto(float(k))[1] - math.log10(250), 250)
+                  for k in rng.uniform(9.0 - 1e-6, 9.0 + 1e-6, 2000)]
+        for x, dpy in cases:
+            assert sigma_for_period(Magnitude(x), dpy) == reference(x, dpy), (x, dpy)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(gauss, "_MAX_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            sigma_for_period(parse("100000"), 250)
 
 
 class TestOrderProperties:
