@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, gauss
 from .errors import DomainError, finite_real
-from .magnitude import ONE, Magnitude, from_real
+from .magnitude import ONE, Magnitude, _check_magnitude, from_real
 
 LN10 = math.log(10.0)
 
@@ -99,9 +99,9 @@ _MIDPOINT = np.uint64(2 ** (_NMANT - 52) // 2)
 
 @dataclass(frozen=True, eq=False)
 class Series:
-    """Date-ordered observations of a single daily quantity, held as two
-    read-only columns: ``dates`` (datetime64[D], strictly increasing) and
-    ``values`` (finite float64).  Both are copied and validated once, here."""
+    """Daily observations in two read-only columns: ``dates`` (datetime64[D],
+    strictly increasing) and ``values`` (finite float64).  A caller's arrays
+    are copied and checked here; ``load_series`` hands over columns it checked."""
 
     dates: np.ndarray
     values: np.ndarray
@@ -126,10 +126,8 @@ class Series:
             what = ("non-finite value" if not finite[i]
                     else f"dates must be strictly increasing, within {_FIRST_DAY}..{_LAST_DAY}")
             raise DomainError(f"observation {i} ({dates[i]}): {what}")
-        dates.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
+        dates.flags.writeable = values.flags.writeable = False
+        self.__dict__.update(dates=dates, values=values)
 
     def __len__(self) -> int:
         return self.values.size
@@ -172,15 +170,18 @@ def load_series(path) -> Series:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
         raise DomainError(f"{path}: no data rows")
-    # Free each list of blocks as soon as it is joined, and shift the days in
-    # place: Series copies both columns again, so every array held here adds
-    # to the high-water mark.
+    # Free each list of blocks once joined and shift the days in place: each
+    # array held adds to the peak.  No caller holds these arrays, and the blocks
+    # were checked as read, so Series(...)'s copy and checks are skipped.
     days = np.concatenate(day_blocks)
     day_blocks.clear()
     days -= _EPOCH_ORDINAL
     values = np.concatenate(value_blocks)
     value_blocks.clear()
-    return Series(days.view("datetime64[D]"), values, source_label=str(path))
+    days.flags.writeable = values.flags.writeable = False
+    series = object.__new__(Series)
+    series.__dict__.update(dates=days.view("datetime64[D]"), values=values, source_label=str(path))
+    return series
 
 
 def _rest_of_line(fh) -> bytes:
@@ -557,7 +558,7 @@ def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
     side follows by the ratio of neighbouring terms, outward from it, until a
     term falls below 1e-17 of the sum: O(sqrt(n p q)) work, not O(m).  A
     short head is 1 - P(n - X >= n - m + 1), the upper tail of n - X.
-    ``p`` may be a Magnitude or a plain float in (0, 1); n is at most 2^53.
+    ``p`` is a Magnitude in (0, 1); n is at most 2^53.
     """
     if isinstance(n, bool) or isinstance(m, bool) or not isinstance(n, int) or not isinstance(m, int):
         raise DomainError("n and m must be integers")
@@ -565,8 +566,7 @@ def binomial_tail_at_least(n: int, m: int, p) -> Magnitude:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
     if n > _MAX_N:
         raise DomainError(f"n must be at most 2**53, got {n}")
-    if not isinstance(p, Magnitude):
-        p = from_real(p)
+    _check_magnitude(p, "p")
     if p.is_zero or p.log10_value >= 0.0:
         raise DomainError("p must lie strictly in (0, 1)")
     if m == 0:

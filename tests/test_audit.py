@@ -132,8 +132,9 @@ class TestLoadSeries:
             load_series(path)
 
     def test_peak_memory_of_a_load(self, tmp_path):
-        # Series copies both columns, so the floor is 2x the result; the
-        # loader may hold little more than that at once.
+        # The loader hands over the columns it joined, so the joining sets the
+        # floor: the day blocks, the days and the value blocks are held at
+        # once, 1.5x the result.  It may hold little more than that.
         rng = np.random.default_rng(3)
         path = tmp_path / "s.csv"
         _write_cells(path, map(repr, (rng.standard_normal(300_000) * 0.01).tolist()),
@@ -146,7 +147,7 @@ class TestLoadSeries:
         finally:
             tracemalloc.stop()
         assert len(s) == 300_000
-        assert peak <= 2.5 * (s.dates.nbytes + s.values.nbytes)
+        assert peak <= 1.6 * (s.dates.nbytes + s.values.nbytes)
 
     @pytest.mark.parametrize("stage, bound", [
         (lambda s, m: estimate_moments(s, 250), 6.0),
@@ -217,7 +218,13 @@ def _outcome(loader, path):
 
 
 def _columns(path):
+    """The loaded columns, once checked to be read-only and to pass
+    Series(...)'s checks of a caller's arrays unchanged, bit for bit."""
     s = load_series(path)
+    checked = Series(s.dates, s.values)
+    assert np.array_equal(checked.dates, s.dates)
+    assert np.array_equal(_bits(checked.values), _bits(s.values))
+    assert not (s.dates.flags.writeable or s.dates.base.flags.writeable or s.values.flags.writeable)
     return s.dates.tolist(), s.values.tolist()
 
 
@@ -589,6 +596,33 @@ class TestBulkParser:
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
 
+class TestLoadedSeries:
+    def test_loader_hands_over_its_columns(self, tmp_path, monkeypatch):
+        parse_rows = mock.Mock(wraps=audit._parse_rows)
+        monkeypatch.setattr(audit, "_parse_rows", parse_rows)
+        monkeypatch.setattr(audit.Series, "__post_init__", mock.Mock(side_effect=AssertionError))
+        for rows, fell_back in ((["2007-08-09,1.5", "2007-08-10,-2"], False),
+                                (['"2007-08-09",1.5', "2007-08-10,-2"], True)):
+            path = tmp_path / "s.csv"
+            path.write_text("date,value\n" + "\n".join(rows) + "\n")
+            parse_rows.reset_mock()
+            s = load_series(path)
+            assert parse_rows.called == fell_back
+            assert s.dates.tolist() == [date(2007, 8, 9), date(2007, 8, 10)]
+            assert s.values.tolist() == [1.5, -2.0] and s.source_label == str(path)
+
+    def test_caller_arrays_are_copied(self):
+        dates = np.array(["2007-08-09", "2007-08-10"], "datetime64[D]")
+        values = np.array([1.5, -2.0])
+        s = Series(dates, values)
+        assert not np.shares_memory(s.dates, dates) and not np.shares_memory(s.values, values)
+        dates[0], values[0] = np.datetime64("2007-08-01"), 7.0
+        assert s.dates.tolist() == [date(2007, 8, 9), date(2007, 8, 10)]
+        assert s.values.tolist() == [1.5, -2.0]
+        assert dates.flags.writeable and values.flags.writeable
+        assert len(Series(dates[:0], values[:0])) == 0
+
+
 class TestSeriesValidation:
     def test_rejects_non_dates(self):
         with pytest.raises(DomainError):
@@ -865,10 +899,10 @@ class TestBinomialTail:
         assert at_least_m - above_m == pytest.approx(pmf, rel=1e-5)
         assert 0.5 < at_least_m < 0.51
 
-    def test_plain_float_p(self):
-        got = binomial_tail_at_least(250, 2, 1e-3)
-        assert got == binomial_tail_at_least(250, 2, from_real(1e-3))
-        assert format_sci(got, 6) == "2.64259e-2"
+    def test_plain_float_p_is_refused(self):
+        with pytest.raises(DomainError, match="^p must be a Magnitude$"):
+            binomial_tail_at_least(250, 2, 1e-3)
+        assert format_sci(binomial_tail_at_least(250, 2, from_real(1e-3)), 6) == "2.64259e-2"
 
     def test_monotone_in_m(self):
         vals = [binomial_tail_at_least(100, m, from_real(0.1)).log10_value
