@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import math
-import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -34,10 +33,10 @@ MIN_WINDOW = 20
 _SIDES = ("loss", "both")
 
 
-# bytes read per block: bounds the loader's working set on large files;
+# characters read per block, then the rest of the line (bytes, in the ASCII
+# files the bulk path reads): bounds the loader's working set on large files;
 # larger blocks parsed no faster and left more freed heap resident
 _BLOCK_CHARS = 1 << 18
-_LINE_END = re.compile(rb"\r\n?|\n")  # as text mode ends lines
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # the range of datetime.date, which flagged days are reported as
@@ -137,16 +136,17 @@ def load_series(path) -> Series:
     """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
 
     The file must be UTF-8; a byte-order mark is skipped.  Errors name the
-    first offending row (1-based, header is row 1).  The bytes are read once,
-    in blocks of whole lines, each line end made "\\n" as in text mode.  A
-    block of plain ``YYYY-MM-DD,value`` lines with finite values and
-    increasing dates is parsed in bulk; any other (quoted fields, blank
-    lines, a bad row) is decoded and read row by row with ``csv``, which
-    raises at the first bad row."""
+    first offending row (1-based, header is row 1), though a byte that is
+    not UTF-8 a few KB below a bad row is met first, as the decoder reads
+    ahead.  The file is read once, in text mode ("\\r\\n" and "\\r" read as
+    "\\n"), in blocks of whole lines.  A block of plain ``YYYY-MM-DD,value``
+    lines with finite values and increasing dates is parsed in bulk; any
+    other (quoted fields, blank lines, a bad row) is read row by row with
+    ``csv``, which raises at the first bad row."""
     day_blocks, value_blocks = [], []
     try:
-        with open(path, "rb") as fh:
-            header = _rest_of_line(fh).removeprefix(b"\xef\xbb\xbf").decode()  # skip a BOM
+        with open(path, encoding="utf-8-sig") as fh:
+            header = fh.readline()
             if not header:
                 raise DomainError(f"{path}: empty file")
             try:
@@ -156,16 +156,14 @@ def load_series(path) -> Series:
             if [c.strip().lower() for c in fields] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
-            while block := fh.read(_BLOCK_CHARS) + _rest_of_line(fh):
-                if b"\r" in block:  # end the lines as text mode does
-                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            while block := fh.read(_BLOCK_CHARS) + fh.readline():
                 columns = _parse_block(block, last_day)
-                days, values = columns or _parse_rows(path, block.decode(), first_row, last_day)
+                days, values = columns or _parse_rows(path, block, first_row, last_day)
                 if days.size:
                     day_blocks.append(days)
                     value_blocks.append(values)
                     last_day = int(days[-1])
-                first_row += days.size if columns else block.count(b"\n")
+                first_row += days.size if columns else block.count("\n")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not day_blocks:
@@ -184,27 +182,15 @@ def load_series(path) -> Series:
     return series
 
 
-def _rest_of_line(fh) -> bytes:
-    """The bytes of the binary file ``fh`` to the end of the line, "\\n",
-    "\\r\\n" or a lone "\\r" as in text mode, found in its look-ahead buffer:
-    a file of lone-"\\r" lines is never read whole."""
-    line = bytearray()
-    while (ahead := fh.peek()) and not (end := _LINE_END.search(ahead)):
-        line += fh.read(len(ahead))
-    line += fh.read(end.end() if ahead else 0)
-    # a "\r" that ended the buffer may be the first half of a "\r\n"
-    return bytes(line + fh.read(line.endswith(b"\r") and fh.peek(1).startswith(b"\n")))
-
-
-def _parse_block(block: bytes, last_day: int):
-    """(day ordinals, values) of a block of bytes whose lines are all plain
+def _parse_block(block: str, last_day: int):
+    """(day ordinals, values) of a block of text whose lines are all plain
     ``YYYY-MM-DD,value`` rows, with finite values and days that increase
     from after the ordinal ``last_day``; None for any other block.
 
-    The block is parsed as one array of bytes, padded so that every line has
-    _CELL_WIDTH bytes before its newline and 16 from its start."""
-    raw = np.frombuffer(b"\n" * _CELL_WIDTH + block + b"\n" * (not block.endswith(b"\n"))
-                        + bytes(8), np.uint8)
+    The block is parsed as one array of UTF-8 bytes, padded in one copy so
+    that each line has _CELL_WIDTH bytes before its newline and 16 from its start."""
+    buf = "".join(("\n" * _CELL_WIDTH, block, "\n" * (not block.endswith("\n")), "\0" * 8)).encode()
+    raw = np.frombuffer(buf, np.uint8)
     ends = np.flatnonzero(raw[_CELL_WIDTH:-8] == ord("\n")) + _CELL_WIDTH
     starts = np.r_[_CELL_WIDTH, ends[:-1] + 1]
     width = ends - starts - len("YYYY-MM-DD,")  # of each value cell
@@ -213,10 +199,9 @@ def _parse_block(block: bytes, last_day: int):
         return None
     values, slow = _decimal_values(raw, ends, width)
     slow = np.flatnonzero(slow)
-    stops = ends[slow] - _CELL_WIDTH  # in block
     try:
-        values[slow] = [float(block[a:b]) for a, b in zip((stops - width[slow]).tolist(),
-                                                          stops.tolist())]
+        values[slow] = [float(buf[a:b]) for a, b in zip((ends[slow] - width[slow]).tolist(),
+                                                        ends[slow].tolist())]
     except ValueError:
         return None
     # only float() cells can be inf or nan: the bulk path's m is below 1e19

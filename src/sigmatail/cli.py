@@ -122,7 +122,7 @@ def _cmd_occurrence(args, out, err) -> int:
 
 def _cmd_streak(args, out, err) -> int:
     d = args.digits
-    r = gauss.gauss_tail(args.k, days_per_year=args.dpy)
+    r = gauss.gauss_tail(args.k)
     streak = gauss.streak_probability(r.probability, args.days)
     percent_power = pow_int(r.percent, args.days)
     print(f"probability: {format_sci(streak, d)}", file=out)
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=float)
     p.add_argument("--days", type=int, required=True)
     _add_digits(p)
-    _add_dpy(p)
 
     p = sub.add_parser("lottery", help="bracket a probability between consecutive-win streaks")
     p.add_argument("--p", required=True)

@@ -22,6 +22,8 @@ LOG10_CAP = 1e15
 
 
 def _checked_log10(value: float) -> float:
+    if type(value) is not float:
+        value = finite_real(value, "log10 value must be finite")
     if not math.isfinite(value):
         raise DomainError("log10 value must be finite")
     if abs(value) > LOG10_CAP:

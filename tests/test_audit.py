@@ -332,7 +332,7 @@ class TestLoaderDifferential:
         blocks = []
         parse_block = audit._parse_block
         monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
-            blocks.append(block.decode()) or parse_block(block, last_day)))
+            blocks.append(block) or parse_block(block, last_day)))
         path = tmp_path / "s.csv"
         path.write_text(_differential_text(name, block_chars))
         _outcome(_columns, path)
@@ -383,9 +383,9 @@ def _cell_file(path, n, newline="\n", prefix=b""):
 
 
 class TestBytesLoader:
-    """The loader reads bytes: line ends as text mode reads them, a BOM, the
-    bulk path on CRLF files, and the one read of a file with a bad row, in
-    which only the block that holds it is read row by row."""
+    """The loader's reading of a file: its line ends, a BOM, the bulk path on
+    CRLF files, and the one read of a file with a bad row, in which only the
+    block that holds it is read row by row."""
 
     def test_lone_cr_file_read_in_blocks(self, tmp_path):
         # a file without "\n" is still read a block at a time
@@ -436,7 +436,7 @@ class TestBytesLoader:
         path.write_text("\n".join(["date,value", *rows, ""]))
         parse_block, refused = audit._parse_block, []
         monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
-            parse_block(block, last_day) or refused.append(block.decode().splitlines())))
+            parse_block(block, last_day) or refused.append(block.splitlines())))
         with pytest.raises(DomainError, match="row 32: ") as exc:
             load_series(path)
         assert len(refused) == 1 and rows[30] in refused[0]
@@ -460,14 +460,18 @@ class TestBytesLoader:
         assert str(exc.value) == _outcome(reference_load_series, path)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.binary().map(lambda b: bytes(b"a\r\n"[c % 3] for c in b)),
-           buffer_size=st.integers(1, 9))
-    def test_lines_end_as_in_text_mode(self, data, buffer_size):
-        fh = io.BufferedReader(io.BytesIO(data), buffer_size=buffer_size)
-        lines = []
-        while line := audit._rest_of_line(fh):
-            lines.append(line.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode())
-        assert lines == io.TextIOWrapper(io.BytesIO(data), newline=None).readlines()
+    @given(n=st.integers(1, 40), data=st.data(), block_chars=st.sampled_from([*range(1, 10), 64]))
+    def test_mixed_line_ends_against_reference(self, csv_path, n, data, block_chars):
+        # every line, the header included, ends in its own "\n", "\r\n" or
+        # "\r", and the last may have none
+        lines = ["date,value", *_daily_rows(n)]
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                                  max_size=len(lines)))
+        if data.draw(st.booleans()):
+            ends[-1] = ""
+        csv_path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode())
+        with mock.patch.object(audit, "_BLOCK_CHARS", block_chars):
+            assert _outcome(_columns, csv_path) == _outcome(reference_load_series, csv_path)
 
 
 def _write_cells(path, cells, start=date(2000, 1, 1)):
@@ -476,8 +480,8 @@ def _write_cells(path, cells, start=date(2000, 1, 1)):
         fh.writelines(f"{start + timedelta(days=i)},{c}\n" for i, c in enumerate(cells))
 
 
-def _bits(values):
-    return np.asarray(values, np.float64).view(np.int64)
+def _bits(values) -> list[int]:
+    return np.asarray(values, np.float64).view(np.int64).tolist()
 
 
 # cells whose long double quotient m / 10**f lies halfway between two
@@ -499,10 +503,6 @@ def _decimal_cells(draw):
     if exponent:
         text += exponent + draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 30)))
     return text
-
-
-# x87 extended or IEEE quad long double, on which the bulk path calls no float()
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +553,7 @@ class TestBulkParser:
         dates = load_series(path).dates
         assert (dates.astype(np.int64) + audit._EPOCH_ORDINAL).tolist() == [d.toordinal() for d in days]
 
-    @pytest.mark.skipif(not _EXACT_LONG_DOUBLE, reason="every row goes to float() here")
+    @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
     def test_plain_17_digit_decimals_never_call_float(self, tmp_path, monkeypatch):
         # A 17-digit repr is the 17-digit decimal nearest its double, within
         # 0.45 ulp of it, so its long double quotient is never a midpoint.
@@ -579,7 +579,7 @@ class TestBulkParser:
         assert calls == {"float": 0, "_parse_rows": 0}
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
-    @pytest.mark.skipif(not _EXACT_LONG_DOUBLE, reason="every row goes to float() here")
+    @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
     def test_exact_midpoints_go_to_float(self, tmp_path, monkeypatch):
         # m / 10**f exactly halfway between two doubles, which the long
         # double's low bits show, and cells next to them, which are doubles
@@ -1011,10 +1011,6 @@ class TestReportDict:
         blob = json.loads(json.dumps(report_as_dict(report)))
         pv = blob["p_value_at_least_observed"]
         assert pv["exponent10"] < -20
-
-
-def _bits(values) -> list[int]:
-    return np.asarray(values, np.float64).view(np.int64).tolist()
 
 
 class TestRound4:

@@ -269,6 +269,13 @@ class TestStreak:
     def test_invalid_days(self):
         assert run_cli(["streak", "25", "--days", "0"])[0] == 3
 
+    def test_no_dpy_option(self, capsys):
+        # streak prints only probabilities, which no days-per-year changes
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["streak", "5", "--days", "2", "--dpy", "250"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dpy 250" in capsys.readouterr().err
+
     def test_percent_power_overflow_leaves_stdout_empty(self):
         # 0.5**7e14 fits the log10 range but the percent form 50**7e14 does
         # not: the command fails before printing either line

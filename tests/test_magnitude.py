@@ -2,6 +2,7 @@ import math
 import re
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -365,6 +366,19 @@ class TestAsFloat:
 def test_non_finite_log10_rejected(value):
     with pytest.raises(DomainError, match="^log10 value must be finite$"):
         Magnitude(value)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, True, "1", np.int64(3)],
+                         ids=["int-past-float", "bool", "str", "numpy-int"])
+def test_non_real_log10_rejected(value):
+    with pytest.raises(DomainError, match="^log10 value must be finite$"):
+        Magnitude(value)
+
+
+def test_int_and_numpy_float_log10_accepted():
+    assert Magnitude(3) == Magnitude(3.0)
+    assert Magnitude(np.float64(2.5)) == Magnitude(2.5)
+    assert type(Magnitude(np.float64(2.5)).log10_value) is float
 
 
 # ---------------------------------------------------------------------------

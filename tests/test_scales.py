@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sigmatail import gauss
 from sigmatail.errors import DomainError
@@ -48,6 +48,7 @@ class TestLotteryEquivalent:
 
 
 @given(st.floats(min_value=-300.0, max_value=-1e-6))
+@example(-205220.32371816426)  # floor(lp / lq) is 32075, one below n
 def test_lottery_bracket_verifies_in_log_domain(lp):
     p = Magnitude(lp)
     n, n1 = lottery_equivalent(p)
