@@ -187,8 +187,8 @@ def _parse_block(block: str, last_day: int):
     ``YYYY-MM-DD,value`` rows, with finite values and days that increase
     from after the ordinal ``last_day``; None for any other block.
 
-    The block is parsed as one array of UTF-8 bytes, padded in one copy so
-    that each line has _CELL_WIDTH bytes before its newline and 16 from its start."""
+    The block is padded as text, then encoded once to the array of UTF-8 bytes
+    it is parsed as: each line has _CELL_WIDTH bytes before its newline and 16 from its start."""
     buf = "".join(("\n" * _CELL_WIDTH, block, "\n" * (not block.endswith("\n")), "\0" * 8)).encode()
     raw = np.frombuffer(buf, np.uint8)
     ends = np.flatnonzero(raw[_CELL_WIDTH:-8] == ord("\n")) + _CELL_WIDTH

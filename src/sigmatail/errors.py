@@ -15,7 +15,7 @@ def finite_real(x, message: str) -> float:
     """``x`` as a float if it is an int or a float, not a bool, and finite as
     a float; otherwise DomainError(message).  An int beyond the float range
     is not finite, so it fails here and not with float()'s OverflowError."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+    if type(x) is float or isinstance(x, (int, float)) and not isinstance(x, bool):
         try:
             v = float(x)
         except OverflowError:

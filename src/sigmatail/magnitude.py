@@ -22,15 +22,12 @@ LOG10_CAP = 1e15
 
 
 def _checked_log10(value: float) -> float:
-    if type(value) is not float:
-        value = finite_real(value, "log10 value must be finite")
-    if not math.isfinite(value):
-        raise DomainError("log10 value must be finite")
+    value = finite_real(value, "log10 value must be finite")
     if abs(value) > LOG10_CAP:
         raise DomainError(
             f"exponent out of supported range: |log10| = {abs(value):.6g} > {LOG10_CAP:g}"
         )
-    return float(value)
+    return value
 
 
 class Magnitude:
