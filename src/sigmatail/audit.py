@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import warnings
@@ -303,13 +302,12 @@ def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
 def _parse_rows(path, text: str, first_row: int, last_day: int):
     """The block ``text`` read row by row: blank rows are skipped and the
     first bad row raises.  A record may not span lines."""
-    lines = io.StringIO(text).readlines()  # split at "\n" only, as the file was
     days, values = [], []
-    # a record still open after the block's last line takes this extra line,
-    # so it shows as spanning two lines
-    reader = csv.reader(itertools.chain(lines, ["\n"] if lines[-1].endswith("\n") else []))
+    # lines split at "\n" only, as the file was; a record still open at the
+    # block's end takes the extra blank line, so it shows as spanning two lines
+    reader = csv.reader(io.StringIO(text + "\n" * text.endswith("\n")).readlines())
     try:
-        for rownum, row in zip(range(first_row, first_row + len(lines)), reader):
+        for rownum, row in enumerate(reader, first_row):
             if reader.line_num != rownum - first_row + 1:
                 raise DomainError(f"{path}: row {rownum}: line break inside a quoted field")
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -634,17 +632,15 @@ def report_json(report: AuditReport) -> str:
     return text.replace('"flagged": []', f'"flagged": [{_flagged_text(report.flagged)}]', 1)
 
 
-# "0000".."9999" as little-endian words, and the digits of each that its
-# text keeps after a dot: up to the last nonzero one, and at least one
-_NUMBERS = np.arange(10000, dtype=np.int16)
-_FOUR_DIGITS = (_NUMBERS[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
-                + ord("0")).astype(np.uint8).view("<u4").ravel()
-_FRACTION_DIGITS = 4 - sum(_NUMBERS % 10 ** j == 0 for j in (1, 2, 3))
-_TENS = 10 ** np.arange(1, 12)
+# "0000".."9999" as little-endian words
+_FOUR_DIGITS = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+                % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
 # a row: '{"date": "', the date, '", "sigma_score": ', the score field, '}, '
 _DATE_COLUMN = len('{"date": "')
 _SCORE_COLUMN = _DATE_COLUMN + len('YYYY-MM-DD", "sigma_score": ')
 _SCORE_WIDTH = 18  # "-", 12 digits below 2**52 / 1e4, ".", 4 digits
+_PLACES = 10 ** np.arange(11, 0, -1)  # of the field's columns 1..11
+_FRACTION_PLACES = np.array([1000, 100, 10])  # of its columns 15..17
 
 
 def _flagged_text(flagged: FlaggedDays) -> str:
@@ -660,7 +656,9 @@ def _flagged_text(flagged: FlaggedDays) -> str:
     1e11) decimals of 4 places lie 1e-4 apart, more than the spacing of
     doubles below 2**39, so no two of them round to one double.  Other
     scores (not finite, larger, or not rounded to 4 places) keep json's
-    text, one by one."""
+    text, one by one.  The score field starts as NUL bytes, the zeros and
+    the sign that the text leaves out are set to NUL, and one mask drops
+    every NUL: no other byte of the text is 0."""
     scores = flagged.scores
     with np.errstate(invalid="ignore", over="ignore"):
         n = np.rint(np.abs(scores) * 1e4)
@@ -670,7 +668,7 @@ def _flagged_text(flagged: FlaggedDays) -> str:
     n[slow] = 0.0
     whole, fraction = np.divmod(n.astype(np.int64), 10_000)
     rows = np.tile(np.frombuffer(b'{"date": "YYYY-MM-DD", "sigma_score": '
-                                 + b"0" * width + b"}, ", np.uint8), (len(flagged), 1))
+                                 + b"\0" * width + b"}, ", np.uint8), (len(flagged), 1))
     rows[:, _DATE_COLUMN:_DATE_COLUMN + 10] = _iso_dates(flagged.dates)
     digits = np.empty((len(flagged), 4), "<u4")  # four groups of 4 digits
     for j, group in enumerate((whole // 10 ** 8, whole // 10 ** 4 % 10 ** 4,
@@ -678,27 +676,16 @@ def _flagged_text(flagged: FlaggedDays) -> str:
         digits[:, j] = _FOUR_DIGITS[group]
     digits = digits.view(np.uint8)
     field = rows[:, _SCORE_COLUMN:_SCORE_COLUMN + width]
+    field[:, 0] = np.signbit(scores) * ord("-")
     field[:, 1:13] = digits[:, :12]
     field[:, 13] = ord(".")
     field[:, 14:18] = digits[:, 12:]
-    # the field keeps its columns start..stop-1: the sign just before the
-    # first digit of the integer part (which has one digit more than it has
-    # powers of ten from 10 up to it), the dot, and the fraction's digits
-    start = 11 - np.searchsorted(_TENS, whole, side="right")
-    negative = np.signbit(scores)
-    field[negative, start[negative]] = ord("-")
-    start += ~negative
-    stop = 14 + _FRACTION_DIGITS[fraction]
+    field[:, 1:12] *= whole[:, None] >= _PLACES
+    field[:, 15:18] *= fraction[:, None] % _FRACTION_PLACES != 0
     if texts:
-        field[slow] = np.frombuffer(b"".join(t.ljust(width) for t in texts),
+        field[slow] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
                                     np.uint8).reshape(-1, width)
-        start[slow], stop[slow] = 0, list(map(len, texts))
-    keep = np.ones(rows.shape, bool)
-    columns = np.arange(width)
-    keep[:, _SCORE_COLUMN:_SCORE_COLUMN + width] = ((columns >= start[:, None])
-                                                    & (columns < stop[:, None]))
-    keep[-1, -2:] = False  # the last day has no ", "
-    return rows[keep].tobytes().decode("ascii")
+    return rows[rows != 0].tobytes()[:-2].decode("ascii")  # the last day has no ", "
 
 
 def _iso_dates(days: np.ndarray) -> np.ndarray:

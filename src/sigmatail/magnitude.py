@@ -144,8 +144,6 @@ def _check_magnitude(value, name: str) -> None:
 
 def from_real(v: float) -> Magnitude:
     """Lift an ordinary nonnegative float into the log10 domain."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DomainError(f"expected a real number, got {type(v).__name__}")
     v = finite_real(v, "value must be finite")
     if v < 0.0:
         raise DomainError("negative values are not representable")

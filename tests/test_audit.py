@@ -1141,6 +1141,30 @@ class TestFlaggedText:
             "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
         }, sort_keys=True)
 
+    _UNROUNDED = [0.12345, math.pi, 0.30000000000000004, math.nan, -math.nan,
+                  5e-324, -0.0, 1e16, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("scores", [[v] for v in _UNROUNDED]
+                             + [[-12.5, *_UNROUNDED, 3.0], [*_UNROUNDED[::-1], 7.25]])
+    def test_unrounded_scores_keep_json_text(self, scores):
+        """FlaggedDays built directly, as a library caller may, with scores
+        that _round4 never touched: those not rounded to 4 places keep
+        json's own text, beside rounded ones in the same matrix."""
+        dates = np.datetime64("1999-12-30") + np.arange(len(scores))
+        flagged = FlaggedDays(dates, np.array(scores, np.float64))
+        report = AuditReport(n_days=len(scores), mean=0.0, stdev=1.0, window=None,
+                             threshold_k=2.0, side="both", flagged=flagged,
+                             expected_count=1.0, observed_count=len(scores),
+                             p_value_at_least_observed=ONE)
+        assert report_json(report) == json.dumps({
+            "n_days": len(scores), "mean": 0.0, "stdev": 1.0, "window": None,
+            "threshold_k": 2.0, "side": "both",
+            "flagged": [{"date": d.isoformat(), "sigma_score": v}
+                        for d, v in zip(dates.tolist(), scores)],
+            "expected_count": 1.0, "observed_count": len(scores),
+            "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
+        }, sort_keys=True)
+
 
 def test_rolling_json_audit_makes_no_object_per_day(write_series_csv):
     """A 1e5-row rolling JSON audit calls isoformat() for no day, and round()
