@@ -10,6 +10,8 @@ rounding error grows with the window, not with the length of the series
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -18,6 +20,17 @@ from .errors import DomainError
 def kernel_choice() -> str:
     """Name of the rolling-moment kernel."""
     return "numpy-blocked"
+
+
+def square_scale(x: np.ndarray, terms: int) -> float:
+    """The largest power of two by which x may be scaled so that no sum of
+    ``terms`` squares of differences of its values overflows.  Scaling by a
+    power of two commutes with rounding, so scaled sums keep the bits of
+    unscaled ones, without their under- or overflow.  Values whose
+    magnitudes span more than ~2**1000 within one series are still out of
+    reach: the squares of the smallest ones underflow."""
+    e = math.frexp(max(x.max(), -x.min()))[1]  # each |difference| < 2**(e + 1)
+    return math.ldexp(1.0, min((1021 - terms.bit_length()) // 2 - e, 1023))
 
 
 def _window_sums(blocks: np.ndarray, out: np.ndarray, prefix: np.ndarray) -> None:
@@ -38,7 +51,9 @@ def rolling_moments(values, window: int):
     Position t describes values[t-window:t]; the first ``window`` entries
     are NaN.  The kernel sums squares of the values less the mean of the
     first window: that centre conditions the sums of data with a large
-    offset, and no past window depends on a later value through it."""
+    offset, and no past window depends on a later value through it.  The
+    centred values are scaled by ``square_scale(values, window)``, which is
+    divided out of the results, so tiny or huge values keep their moments."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     w = int(window)
     if w < 2:
@@ -50,6 +65,8 @@ def rolling_moments(values, window: int):
     nb = -(-(n - w) // w)  # blocks in which a window starts
     blocks = np.empty((nb + 1) * w)
     np.subtract(x, center, out=blocks[:n])
+    scale = square_scale(x, w)
+    blocks[:n] *= scale
     blocks[n:] = 0.0
     blocks = blocks.reshape(nb + 1, w)
     # Both outputs are written in place: the window that starts at s goes
@@ -72,5 +89,7 @@ def rolling_moments(values, window: int):
     v /= w - 1
     np.maximum(v, 0.0, out=v)
     np.sqrt(v, out=v)
+    v /= scale
+    m /= scale
     m += center
     return means[:n], stds[:n]

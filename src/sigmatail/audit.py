@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -34,7 +35,8 @@ _SIDES = ("loss", "both")
 
 # characters read per block, then the rest of the line (bytes, in the ASCII
 # files the bulk path reads): bounds the loader's working set on large files;
-# larger blocks parsed no faster and left more freed heap resident
+# larger blocks parsed no faster and left more heap resident (1e6 rows: 46 MB
+# after a load at 2**18 characters, 49 MB at 2**20, 55 MB at 2**22)
 _BLOCK_CHARS = 1 << 18
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -141,8 +143,10 @@ def load_series(path) -> Series:
     "\\n"), in blocks of whole lines.  A block of plain ``YYYY-MM-DD,value``
     lines with finite values and increasing dates is parsed in bulk; any
     other (quoted fields, blank lines, a bad row) is read row by row with
-    ``csv``, which raises at the first bad row."""
-    day_blocks, value_blocks = [], []
+    ``csv``, which raises at the first bad row.  Each block's rows go
+    straight into the two columns handed over, sized at the first block
+    with rows from the file's size and that block's rows per character,
+    grown in place if the rest holds more, and shrunk to the rows at the end."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline()
@@ -155,26 +159,33 @@ def load_series(path) -> Series:
             if [c.strip().lower() for c in fields] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
+            n, chars = 0, len(header)
+            days, values = np.empty(0, np.int64), np.empty(0)
             while block := fh.read(_BLOCK_CHARS) + fh.readline():
+                chars += len(block)
                 columns = _parse_block(block, last_day)
-                days, values = columns or _parse_rows(path, block, first_row, last_day)
-                if days.size:
-                    day_blocks.append(days)
-                    value_blocks.append(values)
-                    last_day = int(days[-1])
-                first_row += days.size if columns else block.count("\n")
+                block_days, block_values = columns or _parse_rows(path, block, first_row, last_day)
+                if k := block_days.size:
+                    if n + k > days.size:
+                        # the rows so far and the rest at this block's rows per character,
+                        # plus 1/32: bytes are never fewer than characters, so this errs high
+                        rest = max(os.fstat(fh.fileno()).st_size - chars, 0)
+                        days.resize((n + k + rest * k // len(block)) * 33 // 32, refcheck=False)
+                        values.resize(days.size, refcheck=False)
+                    days[n:n + k], values[n:n + k] = block_days, block_values
+                    n += k
+                    last_day = int(block_days[-1])
+                first_row += k if columns else block.count("\n")
+                del columns, block_days, block_values  # not held while the next block is parsed
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not day_blocks:
+    if not n:
         raise DomainError(f"{path}: no data rows")
-    # Free each list of blocks once joined and shift the days in place: each
-    # array held adds to the peak.  No caller holds these arrays, and the blocks
+    # No caller holds these arrays, so they shrink in place, and the blocks
     # were checked as read, so Series(...)'s copy and checks are skipped.
-    days = np.concatenate(day_blocks)
-    day_blocks.clear()
+    days.resize(n, refcheck=False)
+    values.resize(n, refcheck=False)
     days -= _EPOCH_ORDINAL
-    values = np.concatenate(value_blocks)
-    value_blocks.clear()
     days.flags.writeable = values.flags.writeable = False
     series = object.__new__(Series)
     series.__dict__.update(dates=days.view("datetime64[D]"), values=values, source_label=str(path))
@@ -352,7 +363,10 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
     x = series.values
     n = x.size
     sample_mean = float(np.mean(x)) if n else math.nan
-    sample_stdev = float(np.std(x, ddof=1)) if n > 1 else math.nan
+    sample_stdev = math.nan
+    if n > 1:  # scaled as the rolling moments are, against under- and overflow
+        scale = _kernels.square_scale(x, n)
+        sample_stdev = float(np.std(x * scale, ddof=1)) / scale
 
     if window is None:
         if n < MIN_FULL_SAMPLE:

@@ -131,10 +131,11 @@ class TestLoadSeries:
         with pytest.raises(DomainError, match="not UTF-8 text"):
             load_series(path)
 
-    def test_peak_memory_of_a_load(self, tmp_path):
-        # The loader hands over the columns it joined, so the joining sets the
-        # floor: the day blocks, the days and the value blocks are held at
-        # once, 1.5x the result.  It may hold little more than that.
+    def test_peak_memory_of_a_load(self, tmp_path, monkeypatch):
+        # The loader writes each block straight into the columns it hands
+        # over, so the floor is the result plus one block's working set:
+        # at 16K-character blocks, little more than the result.
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", 2 ** 14)
         rng = np.random.default_rng(3)
         path = tmp_path / "s.csv"
         _write_cells(path, map(repr, (rng.standard_normal(300_000) * 0.01).tolist()),
@@ -147,7 +148,7 @@ class TestLoadSeries:
         finally:
             tracemalloc.stop()
         assert len(s) == 300_000
-        assert peak <= 1.6 * (s.dates.nbytes + s.values.nbytes)
+        assert peak <= 1.2 * (s.dates.nbytes + s.values.nbytes)
 
     @pytest.mark.parametrize("stage, bound", [
         (lambda s, m: estimate_moments(s, 250), 6.0),
@@ -622,6 +623,31 @@ class TestLoadedSeries:
         assert dates.flags.writeable and values.flags.writeable
         assert len(Series(dates[:0], values[:0])) == 0
 
+    @pytest.mark.parametrize("block_chars", [64, 2 ** 14])
+    @pytest.mark.parametrize("kind", ["rows get shorter", "quoted first row",
+                                      "leading blank lines"])
+    def test_columns_sized_to_the_rows(self, tmp_path, monkeypatch, kind, block_chars):
+        # the columns are sized at the first block with rows, from its rows
+        # per character; grown where the rest holds more rows than that
+        # foretells (19-digit values, then "1"); and shrunk to the rows at
+        # the end, with no capacity left behind
+        monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
+        long_rows = block_chars // 31 + 2  # more than the first block holds
+        rows = _daily_rows(long_rows + block_chars // 4)
+        lead = ""
+        if kind == "rows get shorter":
+            rows = [r[:11] + ("1" * 19 if i < long_rows else "1") for i, r in enumerate(rows)]
+        elif kind == "quoted first row":
+            rows[0] = f'"{rows[0][:10]}",{rows[0][11:]}'
+        else:
+            lead = "\n" * (block_chars + 10)
+        path = tmp_path / "s.csv"
+        path.write_text("date,value\n" + lead + "\n".join(rows) + "\n")
+        assert _outcome(_columns, path) == _outcome(reference_load_series, path)
+        s = load_series(path)
+        assert s.values.flags.owndata and s.dates.base.flags.owndata
+        assert s.values.size == s.dates.base.size == len(rows)
+
 
 class TestSeriesValidation:
     def test_rejects_non_dates(self):
@@ -767,6 +793,67 @@ class TestKernels:
     def test_window_below_two_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             _kernels.rolling_moments(np.ones(5), 1)
+
+
+class TestScaleInvariance:
+    """x and x * 2**k, k = -565 and 531 (values near 1e-170 and 1e160, whose
+    squares under- and overflow): every moment scales by 2**k exactly, and
+    the scores, flagged days and report are the same."""
+
+    @pytest.mark.parametrize("window", [None, 50])
+    @pytest.mark.parametrize("k", [-565, 531])
+    def test_moments_scale_exactly(self, window, k):
+        x = np.random.default_rng(3).standard_normal(300)
+        series, scaled = make_series(x), make_series(x * 2.0 ** k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want, got = estimate_moments(series, window), estimate_moments(scaled, window)
+            want_days, got_days = (flag_events(s, m, 2.0, "both")
+                                   for s, m in ((series, want), (scaled, got)))
+            want_report, got_report = (build_report(s, threshold_k=2.0, window=window,
+                                                    side="both") for s in (series, scaled))
+        for column in ("mean", "stdev", "sample_mean", "sample_stdev"):
+            assert np.array_equal(getattr(got, column), getattr(want, column) * 2.0 ** k,
+                                  equal_nan=True), column
+        assert np.array_equal(got.scored, want.scored) and want.scored.sum() == 300 - (window or 0)
+        assert np.array_equal(got_days.dates, want_days.dates) and len(want_days) > 5
+        assert np.array_equal(got_days.scores, want_days.scores)
+        for field in ("observed_count", "expected_count", "p_value_at_least_observed"):
+            assert getattr(got_report, field) == getattr(want_report, field), field
+
+    @pytest.mark.parametrize("window", [None, 50])
+    def test_subnormal_values(self, window):
+        # the scale that would bring them near the top of the range, about
+        # 2**1064, is not a double; the moments are subnormal, ~14 bits
+        values = np.random.default_rng(3).standard_normal(300) * 2.0 ** -1060
+        m = estimate_moments(make_series(values), window)
+        assert m.scored.sum() == 300 - (window or 0)
+        want = np.std(values * 2.0 ** 1000, ddof=1) * 2.0 ** -1000
+        assert m.sample_stdev == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("args", [[], ["--window", "50", "--format", "json"]],
+                             ids=["text", "rolling-json"])
+    @pytest.mark.parametrize("factor", [1e-170, 1e160])
+    def test_cli_audit_of_tiny_and_huge_values(self, write_series_csv, args, factor):
+        # the values times 1e-170 printed "stdev: 0.0" with every day
+        # unscored, and times 1e160 "overflow encountered in square"
+        x = np.random.default_rng(3).standard_normal(300)
+        runs = []
+        for name, values in (("x.csv", x), ("scaled.csv", x * factor)):
+            out, err = io.StringIO(), io.StringIO()
+            assert cli.main(["audit", str(write_series_csv(values, name)), *args],
+                            out=out, err=err) == 0
+            assert err.getvalue() == ""
+            runs.append(out.getvalue())
+        if args:
+            want, got = map(json.loads, runs)
+        else:  # the summary lines after "source:", then the flagged days
+            want, got = (dict(line.split(": ", 1) for line in run.splitlines()[1:12])
+                         for run in runs)
+            assert runs[0].splitlines()[12:] == runs[1].splitlines()[12:]
+        for key in ("mean", "stdev"):
+            assert float(got.pop(key)) == pytest.approx(float(want.pop(key)) * factor, rel=1e-12)
+        assert got == want
 
 
 class TestFlagEvents:
