@@ -835,8 +835,8 @@ class TestScaleInvariance:
                              ids=["text", "rolling-json"])
     @pytest.mark.parametrize("factor", [1e-170, 1e160])
     def test_cli_audit_of_tiny_and_huge_values(self, write_series_csv, args, factor):
-        # the values times 1e-170 printed "stdev: 0.0" with every day
-        # unscored, and times 1e160 "overflow encountered in square"
+        # unscaled, the squares of these values underflow to a zero stdev
+        # (every day unscored) or overflow ("overflow encountered in square")
         x = np.random.default_rng(3).standard_normal(300)
         runs = []
         for name, values in (("x.csv", x), ("scaled.csv", x * factor)):
