@@ -9,8 +9,6 @@ small probabilities.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import _kernels, gauss
 from .errors import DomainError, finite_real
-from .magnitude import ONE, Magnitude, _check_magnitude, from_real
+from .magnitude import ONE, Magnitude, _check_magnitude, from_real, read_numbers
 
 LN10 = math.log(10.0)
 
@@ -33,10 +31,10 @@ MIN_WINDOW = 20
 _SIDES = ("loss", "both")
 
 
-# characters read per block, then the rest of the line (bytes, in the ASCII
-# files the bulk path reads): bounds the loader's working set on large files;
-# larger blocks parsed no faster and left more heap resident (1e6 rows: 46 MB
-# after a load at 2**18 characters, 49 MB at 2**20, 55 MB at 2**22)
+# characters read per block, then the rest of the line: bounds the loader's
+# working set on large files; larger blocks parsed no faster and left more
+# heap resident (1e6 rows: 46 MB after a load at 2**18 characters, 49 MB at
+# 2**20, 55 MB at 2**22)
 _BLOCK_CHARS = 1 << 18
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -57,10 +55,11 @@ def _word(chars: bytes) -> np.uint64:
 
 _DATE_ZEROS = _word(b"0000-00-")  # XOR leaves the digits 0..9 and the dashes 0
 _DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
-_DAY_ZEROS = _word(b"00,")
-_DAY_MAX = _word(b"\x09\x09\x00")
+_DAY_ZEROS = _word(b"00")
+_DAY_MAX = _word(b"\x09\x09")
+_BLANK = np.isin(np.arange(256), [ord(" "), ord("\t")])  # by byte value
 # calendar tables: by the four year digits, and by the two month digits plus
-# 100 in a leap year (year 0 counts as one; its ordinals, <= 0, fail the order check)
+# 100 in a leap year (year 0 counts as one, and is refused)
 _YEARS = np.arange(10000)
 _YEAR_ROW = 100 * ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0)))
 _DAYS_BEFORE_YEAR = ((_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100
@@ -134,37 +133,37 @@ class Series:
 
 
 def load_series(path) -> Series:
-    """Parse a CSV with header ``date,value``: ISO-8601 dates, finite floats.
+    """Parse a CSV with header ``date,value``: one row per day, each date
+    ``YYYY-MM-DD`` (years 0001-9999) and later than the row before it, each
+    value finite and written [+-] digits[.[digits]] or .digits, then
+    [(e|E)[+-]digits], in ASCII.  A field may be padded with blanks (space
+    and tab) and wrapped in one pair of quotes; a line of blanks is skipped.
 
     The file must be UTF-8; a byte-order mark is skipped.  Errors name the
     first offending row (1-based, header is row 1), though a byte that is
     not UTF-8 a few KB below a bad row is met first, as the decoder reads
     ahead.  The file is read once, in text mode ("\\r\\n" and "\\r" read as
-    "\\n"), in blocks of whole lines.  A block of plain ``YYYY-MM-DD,value``
-    lines with finite values and increasing dates is parsed in bulk; any
-    other (quoted fields, blank lines, a bad row) is read row by row with
-    ``csv``, which raises at the first bad row.  Each block's rows go
-    straight into the two columns handed over, sized at the first block
-    with rows from the file's size and that block's rows per character,
-    grown in place if the rest holds more, and shrunk to the rows at the end."""
+    "\\n"), in blocks of whole lines, and each block is parsed in bulk.
+    Each block's rows go straight into the two columns handed over, sized
+    at the first block with rows from the file's size and that block's rows
+    per character, grown in place if the rest holds more, and shrunk to the
+    rows at the end."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline()
             if not header:
                 raise DomainError(f"{path}: empty file")
-            try:
-                fields = next(csv.reader([header]))
-            except csv.Error:  # such as a field past csv.field_size_limit()
-                fields = []
-            if [c.strip().lower() for c in fields] != ["date", "value"]:
+            fields = [f.strip(" \t") for f in header.rstrip("\n").split(",")]
+            fields = [f[1:-1].strip(" \t") if len(f) > 1 and f[0] == f[-1] == '"' else f
+                      for f in fields]
+            if [f.lower() for f in fields] != ["date", "value"]:
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
             first_row, last_day = 2, 0  # day ordinals start at 1
             n, chars = 0, len(header)
             days, values = np.empty(0, np.int64), np.empty(0)
             while block := fh.read(_BLOCK_CHARS) + fh.readline():
                 chars += len(block)
-                columns = _parse_block(block, last_day)
-                block_days, block_values = columns or _parse_rows(path, block, first_row, last_day)
+                block_days, block_values, lines = _parse_block(block, last_day, path, first_row)
                 if k := block_days.size:
                     if n + k > days.size:
                         # the rows so far and the rest at this block's rows per character,
@@ -175,8 +174,8 @@ def load_series(path) -> Series:
                     days[n:n + k], values[n:n + k] = block_days, block_values
                     n += k
                     last_day = int(block_days[-1])
-                first_row += k if columns else block.count("\n")
-                del columns, block_days, block_values  # not held while the next block is parsed
+                first_row += lines
+                del block_days, block_values  # not held while the next block is parsed
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not n:
@@ -192,30 +191,97 @@ def load_series(path) -> Series:
     return series
 
 
-def _parse_block(block: str, last_day: int):
-    """(day ordinals, values) of a block of text whose lines are all plain
-    ``YYYY-MM-DD,value`` rows, with finite values and days that increase
-    from after the ordinal ``last_day``; None for any other block.
+def _parse_block(block: str, last_day: int, path, first_row: int):
+    """(day ordinals, values, lines) of a block of whole lines, which starts
+    on row ``first_row`` of the file ``path``: the columns of its rows, whose
+    days increase from after the ordinal ``last_day``, and its line count.
+    Lines of blanks are skipped, and the first bad row raises DomainError.
 
-    The block is padded as text, then encoded once to the array of UTF-8 bytes
-    it is parsed as: each line has _CELL_WIDTH bytes before its newline and 16 from its start."""
-    buf = "".join(("\n" * _CELL_WIDTH, block, "\n" * (not block.endswith("\n")), "\0" * 8)).encode()
+    The block is padded as text, then encoded once to the array of UTF-8
+    bytes it is parsed as: each line has _CELL_WIDTH bytes before its
+    newline and 16 after its start.  All rows are read at once."""
+    buf = "".join(("\n" * _CELL_WIDTH, block, "\n" * (not block.endswith("\n")), "\0" * 16)).encode()
     raw = np.frombuffer(buf, np.uint8)
-    ends = np.flatnonzero(raw[_CELL_WIDTH:-8] == ord("\n")) + _CELL_WIDTH
-    starts = np.r_[_CELL_WIDTH, ends[:-1] + 1]
-    width = ends - starts - len("YYYY-MM-DD,")  # of each value cell
-    if (width.min() < 1 or (days := _day_ordinals(raw, starts)) is None
-            or days[0] <= last_day or np.any(days[1:] <= days[:-1])):
-        return None
-    values, slow = _decimal_values(raw, ends, width)
+    ends = np.flatnonzero(raw == ord("\n"))[_CELL_WIDTH:]  # past the padding's newlines
+    rows, days, date_ok, end, width = _fields(raw, ends, " " in block or "\t" in block,
+                                              '"' in block)
+    values, slow = _decimal_values(raw, end, width)
     slow = np.flatnonzero(slow)
-    try:
-        values[slow] = [float(buf[a:b]) for a, b in zip((ends[slow] - width[slow]).tolist(),
-                                                        ends[slow].tolist())]
-    except ValueError:
-        return None
-    # only float() cells can be inf or nan: the bulk path's m is below 1e19
-    return (days, values) if np.isfinite(values[slow]).all() else None
+    values[slow] = read_numbers([buf[a:b] for a, b in zip((end[slow] - width[slow]).tolist(),
+                                                          end[slow].tolist())])
+    # the value of a cell that is not a number is NaN, and of one that
+    # overflows inf; no other cell can be either
+    bad = ~date_ok | (days <= np.concatenate(([last_day], days))[:-1])
+    bad[slow] |= ~np.isfinite(values[slow])
+    if bad.any():
+        i = int(np.argmax(bad))
+        line = int(np.flatnonzero(rows)[i])  # in the block
+        fault = _fault(block.split("\n")[line], date_ok[i], values[i], int(days[i]))
+        raise DomainError(f"{path}: row {first_row + line}: {fault}")
+    return days, values, ends.size
+
+
+def _fields(raw: np.ndarray, ends: np.ndarray, blanks: bool, quotes: bool):
+    """Where the fields of the lines that end at ``ends`` in ``raw`` are: a
+    mask of the lines that are not blank, and of those rows the day
+    ordinals, a mask of the good dates (each followed by its comma), and
+    the end and width of each value cell.  A field may be padded with
+    blanks and wrapped in one pair of quotes, which may hold blanks too;
+    these are looked for only in a block that holds a blank (``blanks``)
+    or a quote (``quotes``)."""
+
+    def past_blanks(at, step=1):  # moved on (or back) past ASCII blanks
+        while blanks and (blank := _BLANK.take(raw[at])).any():
+            at = at + step * blank
+        return at
+
+    def past_padding(at, step=1):  # past blanks, a quote after them and blanks; and the quote
+        at = past_blanks(at, step)
+        if not quotes:
+            return at, False
+        quote = raw[at] == ord('"')
+        return past_blanks(at + step * quote, step), quote
+
+    start, open_date = past_padding(np.concatenate(([_CELL_WIDTH], ends[:-1] + 1)))
+    rows = start < ends
+    if quotes:  # a line of blanks and one quote is a row, and one of blanks and "" is blank
+        rows = (rows | open_date) & ~(open_date & (raw[start] == ord('"'))
+                                      & (past_blanks(start + 1) == ends))
+    if not rows.all():
+        start, ends = start[rows], ends[rows]
+        open_date = open_date[rows] if quotes else False
+    days, date_ok = _day_ordinals(raw, start)
+    comma, close_date = past_padding(start + 10)
+    value, open_value = past_padding(comma + 1)
+    last, close_value = past_padding(ends - 1, -1)  # the row's last character that is not padding
+    date_ok &= raw[comma] == ord(",")
+    width = np.maximum(last + 1 - value, 0)
+    if quotes:  # where a field's quotes do not pair, its date is refused, or its value
+        # cell left empty, which is never a number
+        date_ok &= open_date == close_date
+        width *= open_value == close_value
+    return rows, days, date_ok, last + 1, width
+
+
+def _fault(line: str, date_ok, value, day: int) -> str:
+    """What is wrong with a row that the bulk checks refused: the first of
+    an open quote, the field count, the date, the value, its finiteness and
+    the date order to fail.  A field is shown as ``csv`` reads it: less the
+    quote that opens it and the next one, if it has both."""
+    quote = line.rfind('"')
+    if quote >= 0 and line[:quote].rstrip(" \t")[-1:] in ("", ","):
+        return "line break inside a quoted field"
+    fields = [f[1:].replace('"', "", 1) if f[:1] == '"' and '"' in f[1:] else f
+              for f in line.split(",")]
+    if len(fields) != 2:
+        return f"expected 2 fields, got {len(fields)}"
+    if not date_ok:
+        return f"bad date {fields[0]!r}"
+    if math.isnan(value):
+        return f"bad value {fields[1]!r}"
+    if math.isinf(value):
+        return f"non-finite value {fields[1]!r}"
+    return f"date {date.fromordinal(day).isoformat()} not after previous row"
 
 
 def _words(raw: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:
@@ -246,28 +312,27 @@ def _digits(words: np.ndarray, steps: int = 3) -> np.ndarray:
 
 
 def _day_ordinals(raw: np.ndarray, starts: np.ndarray):
-    """The ``date.toordinal`` of the ``YYYY-MM-DD,`` at each start in
-    ``raw``, from year 0 on; None unless every one is a date so written."""
+    """The ``date.toordinal`` of the ``YYYY-MM-DD`` at each start in
+    ``raw``, and a mask of the starts where a date from year 1 is so written."""
     ymd, dd = _words(raw, starts, 2)
     ymd ^= _DATE_ZEROS  # "YYYY-MM-"
-    dd = (dd & np.uint64(0xFFFFFF)) ^ _DAY_ZEROS  # "DD,"
-    if np.any(_over(ymd, _DATE_MAX) | _over(dd, _DAY_MAX)):
-        return None
+    dd = (dd & np.uint64(0xFFFF)) ^ _DAY_ZEROS  # "DD"
+    bad = (_over(ymd, _DATE_MAX) | _over(dd, _DAY_MAX)) != 0
+    ymd[bad] = dd[bad] = 0  # read as day 0 of month 0 of year 0, which is no date
     ym = _digits(ymd, 2).view(np.int64)  # the year, then 10 times the month
     year = ym & 0xFFFF
     month = _YEAR_ROW[year] + (ym >> 32) // 10
     day = (_digits(dd, 1) & np.uint64(0xFF)).view(np.int64)
-    if not np.all((day >= 1) & (day <= _MONTH_DAYS[month])):
-        return None
-    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + day
+    ok = (year > 0) & (day >= 1) & (day <= _MONTH_DAYS[month])
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + day, ok
 
 
 def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
     """float64 values of the decimal cells in ``raw`` that end just before
     ``ends`` and are ``width`` characters long, and a mask of the rows whose
-    values are left to float(): cells longer than _CELL_WIDTH, cells with
-    other characters than a leading '-', digits and one '.', and cells with
-    20 or more digits from the first nonzero one, the dot included.
+    values are left to read_numbers(): cells longer than _CELL_WIDTH, cells
+    with other characters than a leading '-', digits and one '.', and cells
+    with 20 or more digits from the first nonzero one, the dot included.
 
     A cell is read as an integer mantissa m and the number f of its digits
     after the dot, and its value is m / 10**f, computed in long double, where
@@ -276,8 +341,9 @@ def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
     double lies exactly halfway between two doubles: a midpoint has 54
     significant bits, so is itself a long double, and none can lie between
     the quotient and the long double nearest to it.  Those rows, told by
-    the long double's significand bits below a double's, are left to float()
-    too.  Every quotient is 0 or at least 1e-23, so none is subnormal."""
+    the long double's significand bits below a double's, are left to
+    read_numbers() too.  Every quotient is 0 or at least 1e-23, so none is
+    subnormal."""
     w = _CELL_WIDTH
     neg = raw[ends - width] == ord("-")
     lead = w - np.minimum(width, w) + neg  # column of the first character after the sign
@@ -308,43 +374,6 @@ def _decimal_values(raw: np.ndarray, ends: np.ndarray, width: np.ndarray):
         values = np.zeros(m.size)
         slow[:] = True
     return values, slow
-
-
-def _parse_rows(path, text: str, first_row: int, last_day: int):
-    """The block ``text`` read row by row: blank rows are skipped and the
-    first bad row raises.  A record may not span lines."""
-    days, values = [], []
-    # lines split at "\n" only, as the file was; a record still open at the
-    # block's end takes the extra blank line, so it shows as spanning two lines
-    reader = csv.reader(io.StringIO(text + "\n" * text.endswith("\n")).readlines())
-    try:
-        for rownum, row in enumerate(reader, first_row):
-            if reader.line_num != rownum - first_row + 1:
-                raise DomainError(f"{path}: row {rownum}: line break inside a quoted field")
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
-            try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
-            if not math.isfinite(v):
-                raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
-            if d.toordinal() <= last_day:
-                raise DomainError(
-                    f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
-                )
-            last_day = d.toordinal()
-            days.append(last_day)
-            values.append(v)
-    except csv.Error as exc:  # such as a field past csv.field_size_limit()
-        raise DomainError(f"{path}: row {first_row + reader.line_num - 1}: {exc}") from None
-    return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 # Per-day estimated mean and stdev, plus which days are scorable: ``scored``
@@ -624,15 +653,15 @@ def report_as_dict(report: AuditReport) -> dict:
 
 
 def report_json(report: AuditReport) -> str:
-    """The report as one line of JSON with sorted keys; each flagged day is
-    ``{"date": "YYYY-MM-DD", "sigma_score": score}``, the score in json's
-    float text.  The flagged days are written as one matrix of bytes, a row
-    per day, and decoded once."""
+    """The report as one line of JSON with sorted keys; a mean or stdev that
+    is not finite is null.  Each flagged day is ``{"date": "YYYY-MM-DD",
+    "sigma_score": score}``, the score in json's float text.  The flagged
+    days are written as one matrix of bytes, a row per day, and decoded once."""
     mant, exp10 = report.p_value_at_least_observed.sci_parts()
     text = json.dumps({
         "n_days": report.n_days,
-        "mean": report.mean,
-        "stdev": report.stdev,
+        "mean": report.mean if math.isfinite(report.mean) else None,
+        "stdev": report.stdev if math.isfinite(report.stdev) else None,
         "window": report.window,
         "threshold_k": report.threshold_k,
         "side": report.side,

@@ -197,6 +197,21 @@ def format_sci(a: Magnitude, sig_digits: int = 4) -> str:
     return f"{mant_text}e{sign}{abs(exp)}"
 
 
+def read_numbers(cells: list) -> list:
+    """float(cell) of each cell whose bytes are a number as this package
+    writes one, and NaN for the others.  The syntax is [+-] digits[.[digits]]
+    or .digits, then [(e|E)[+-]digits], in ASCII: float()'s own, less its
+    blanks, underscores, other scripts' digits, inf and nan, each of which
+    needs a byte that is none of 0-9, the signs, the dot and e or E.  The
+    cells are checked all at once, and one by one only if one fails."""
+    try:
+        if not b"".join(cells).translate(None, b"0123456789+-.eE"):
+            return list(map(float, cells))
+    except ValueError:
+        pass
+    return [math.nan] if len(cells) == 1 else [read_numbers([cell])[0] for cell in cells]
+
+
 def parse(text: str) -> Magnitude:
     """Read scientific (``3.057e-138``) or plain decimal (``43.956``) text.
 
@@ -206,16 +221,13 @@ def parse(text: str) -> Magnitude:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}")
-    # the grammar: [+-] digits[.[digits]] or .digits, then [(e|E)[+-]digits],
-    # between ASCII blanks; strip() with no argument would also take Unicode
-    # spaces, and isdigit() other scripts' digits
+    # a number between ASCII blanks: strip() with no argument would also
+    # take Unicode spaces
     body = text.strip(" \t\n\r\f\v")
-    sign = body[:1] if body[:1] in ("+", "-") else ""
-    mant_text, e, exp_text = body[len(sign):].replace("E", "e").partition("e")
-    whole, _, fraction = mant_text.partition(".")
-    exp_digits = exp_text[1:] if exp_text[:1] in ("+", "-") else exp_text
-    if not (body.isascii() and (whole + fraction).isdigit() and (exp_digits.isdigit() or not e)):
+    if math.isnan(read_numbers([body.encode("ascii", "replace")])[0]):
         raise ParseError(f"not a number: {text!r}")
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    mant_text, _, exp_text = body[len(sign):].replace("E", "e").partition("e")
     if not mant_text.strip("0."):
         return ZERO
     if sign == "-":

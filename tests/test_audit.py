@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
-from sigmatail import _kernels, audit, cli, gauss
+from sigmatail import _kernels, audit, cli, gauss, magnitude
 from sigmatail.audit import (
     AuditReport, FlaggedDay, FlaggedDays, Moments, Series, binomial_tail_at_least,
     build_report, estimate_moments, flag_events, load_series, report_as_dict,
@@ -75,16 +76,38 @@ class TestLoadSeries:
 
     @pytest.mark.parametrize("text, message", [
         ("date,value\n2007-08-09,1\n2007-08-10," + "1" * 200_000 + "\n",
-         "row 3: field larger than field limit"),
-        ("date,value\n2007-08-09,\"1" + "1" * 200_000 + "\"\n", "row 2: field larger"),
+         "row 3: non-finite value '1111"),
+        ("date,value\n2007-08-09,\"1" + "1" * 200_000 + "\"\n", "row 2: non-finite value '1111"),
         ("date," + "v" * 200_000 + "\n2007-08-09,1\n", "row 1: header must be 'date,value'"),
     ], ids=["bulk-block", "rows-block", "header"])
     def test_field_past_csv_limit_names_row(self, tmp_path, text, message):
-        # csv.field_size_limit() is process-wide, so the loader leaves it as it is
+        # a field of 200,000 characters, past csv's default field limit:
+        # plain, quoted, and in the header
         path = tmp_path / "s.csv"
         path.write_text(text)
         with pytest.raises(DomainError, match=message):
             load_series(path)
+
+    @pytest.mark.parametrize("row, fault, text", [
+        ("20200105,1.5", "bad date", "20200105"),
+        ("2020-W02-1,1.5", "bad date", "2020-W02-1"),
+        ("2020-01-06,1_000", "bad value", "1_000"),
+        ("2020-01-06,\u0661\u0662", "bad value", "\u0661\u0662"),
+        ("\u00a02020-01-06,1.5", "bad date", "\u00a02020-01-06"),
+        ("2020-01-06,1.5\u3000", "bad value", "1.5\u3000"),
+        ("2020-01-06,\f1.5", "bad value", "\f1.5"),
+        ("2020-01-06,inf", "bad value", "inf"),
+        ("2020-01-06,-Infinity", "bad value", "-Infinity"),
+        ("2020-01-06,nan", "bad value", "nan"),
+    ], ids=["basic date", "week date", "underscore", "Arabic-Indic digits",
+            "no-break space", "ideographic space", "form feed", "inf", "-Infinity", "nan"])
+    def test_refused_form_names_its_row(self, tmp_path, row, fault, text):
+        # forms that float() or date.fromisoformat() read, and the loader does not
+        path = tmp_path / "s.csv"
+        path.write_text(f"date,value\n2020-01-01,1\n{row}\n2020-01-07,2\n", encoding="utf-8")
+        with pytest.raises(DomainError) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3: {fault} {text!r}"
 
     def test_bad_value_names_row(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -171,9 +194,16 @@ class TestLoadSeries:
         assert peak <= bound * 8 * n
 
 
+# the date and number syntax load_series reads, written apart from it
+_REFERENCE_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_REFERENCE_VALUE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def reference_load_series(path):
-    """The row-by-row ``csv`` loader that the block-wise one replaced, kept
-    as the oracle: (dates, values) as lists, or a DomainError."""
+    """A row-by-row ``csv`` loader, kept as the oracle: (dates, values) as
+    lists, or a DomainError.  Fields lose their ASCII blanks at both ends,
+    dates must be YYYY-MM-DD and values ASCII decimals with an optional
+    exponent (no inf, nan, underscore or other blank)."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -185,18 +215,18 @@ def reference_load_series(path):
             raise DomainError(f"{path}: row 1: header must be 'date,value'")
         prev = None
         for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if not row or (len(row) == 1 and not row[0].strip(" \t")):
                 continue
             if len(row) != 2:
                 raise DomainError(f"{path}: row {rownum}: expected 2 fields, got {len(row)}")
+            day, value = (field.strip(" \t") for field in row)
             try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
+                d = date.fromisoformat(_REFERENCE_DATE.fullmatch(day)[0])
+            except (TypeError, ValueError):
                 raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}") from None
+            if not _REFERENCE_VALUE.fullmatch(value):
+                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}")
+            v = float(value)
             if not math.isfinite(v):
                 raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
             if prev is not None and d <= prev:
@@ -241,6 +271,8 @@ DIFFERENTIAL_FILES = {
     "quoted fields": ['"2007-08-09","1.5"', '2007-08-10,"-2"', '"2007-08-11",3'],
     "quote inside a field": ['2007-08-09,1"', '2007-08-10,2'],
     "text after a closing quote": ['"2007-08-09"x,1'],
+    "a quote that closes no field": ['2007-08-09",1'],
+    "quoted blank lines": ["2007-08-09,1", '""', '" "', "2007-08-10,2"],
     "CRLF": "date,value\r\n2007-08-09,1\r\n2007-08-10,2\r\n",
     "lone CR": "date,value\r2007-08-09,1\r2007-08-10,2\r",
     "quoted and padded header": '"Date", value \n2007-08-09,1\n',
@@ -316,13 +348,22 @@ class TestLoaderDifferential:
 
     @pytest.mark.parametrize("block_chars", [1, 2, 1 << 16])
     def test_line_break_in_quoted_field_names_its_row(self, tmp_path, monkeypatch, block_chars):
-        # the reference reads the record across both lines; load_series
-        # refuses it, and names the row where it starts
+        # the reference reads the record across both lines, and refuses the
+        # line break in its date; load_series refuses the quote left open,
+        # and names the row where it starts
         monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
         path = tmp_path / "s.csv"
         path.write_text('date,value\n2007-08-09,1\n"2007-08-10\n",2\n2007-08-11,3\n')
-        assert len(reference_load_series(path)[0]) == 3
+        assert _outcome(reference_load_series, path).endswith("row 3: bad date '2007-08-10\\n'")
         with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field"):
+            load_series(path)
+
+    @pytest.mark.parametrize("line", ['"', ' \t" ', '2007-08-10,"', '"2007-08-10,1'])
+    def test_quote_left_open_names_its_row(self, tmp_path, line):
+        # a line of one quote is no blank line
+        path = tmp_path / "s.csv"
+        path.write_text(f"date,value\n2007-08-09,1\n{line}\n2007-08-11,3\n")
+        with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field$"):
             load_series(path)
 
     @pytest.mark.parametrize("block_chars", [1, 2, 1 << 16])
@@ -332,8 +373,8 @@ class TestLoaderDifferential:
         monkeypatch.setattr(audit, "_BLOCK_CHARS", block_chars)
         blocks = []
         parse_block = audit._parse_block
-        monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
-            blocks.append(block) or parse_block(block, last_day)))
+        monkeypatch.setattr(audit, "_parse_block", lambda block, *rest: (
+            blocks.append(block) or parse_block(block, *rest)))
         path = tmp_path / "s.csv"
         path.write_text(_differential_text(name, block_chars))
         _outcome(_columns, path)
@@ -372,8 +413,13 @@ def test_one_mutated_row_against_reference(csv_path, n, at, mutation, block_char
         assert _outcome(_columns, csv_path) == _outcome(reference_load_series, csv_path)
 
 
-def _no_fallback(monkeypatch):
-    monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
+def _scanned_cells(monkeypatch):
+    """The cells that load_series leaves to read_numbers: those the bulk
+    parser does not read itself."""
+    scanned = []
+    monkeypatch.setattr(audit, "read_numbers", lambda cells: (
+        scanned.extend(cells) or magnitude.read_numbers(cells)))
+    return scanned
 
 
 def _cell_file(path, n, newline="\n", prefix=b""):
@@ -384,9 +430,9 @@ def _cell_file(path, n, newline="\n", prefix=b""):
 
 
 class TestBytesLoader:
-    """The loader's reading of a file: its line ends, a BOM, the bulk path on
-    CRLF files, and the one read of a file with a bad row, in which only the
-    block that holds it is read row by row."""
+    """The loader's reading of a file: its line ends, a BOM, the bulk parse
+    of CRLF files, and the one read of a file with a bad row, which stops at
+    the block that holds it."""
 
     def test_lone_cr_file_read_in_blocks(self, tmp_path):
         # a file without "\n" is still read a block at a time
@@ -402,18 +448,24 @@ class TestBytesLoader:
         assert len(s) == 100_000
         assert peak <= 2.5 * (s.dates.nbytes + s.values.nbytes)
 
+    @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
     def test_crlf_file_stays_in_bulk(self, tmp_path, monkeypatch):
+        # only the cells with an exponent (about 1 in 100) and the long
+        # double's midpoints are read one by one
         path = tmp_path / "s.csv"
         _cell_file(path, 100_000, newline="\r\n")
         want = _outcome(reference_load_series, path)
-        _no_fallback(monkeypatch)
+        scanned = _scanned_cells(monkeypatch)
         assert _outcome(_columns, path) == want
+        assert 0 < len(scanned) < 2_000
 
+    @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
     def test_bom_file_stays_in_bulk(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         _cell_file(path, 1000, prefix=b"\xef\xbb\xbf")
-        _no_fallback(monkeypatch)
+        scanned = _scanned_cells(monkeypatch)
         assert len(load_series(path)) == 1000
+        assert len(scanned) < 20
 
     def test_not_utf8_in_a_later_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
@@ -427,17 +479,24 @@ class TestBytesLoader:
 
     @pytest.mark.parametrize("bad", ["inf", "1e400", "nan", "backwards"])
     def test_bulk_refuses_only_the_block_of_the_bad_row(self, tmp_path, monkeypatch, bad):
-        # each of these rows has plain syntax: the bulk parser refuses its
-        # block for the order or finiteness alone, and the row-by-row read
-        # of that block names row 32
+        # each of these rows fails one check: the order, the syntax or the
+        # finiteness; the bulk parser refuses only the block that holds
+        # it, and names row 32
         monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
         path = tmp_path / "s.csv"
         rows = _daily_rows(40)
         rows[30] = "1999-12-31,1" if bad == "backwards" else f"{rows[30][:10]},{bad}"
         path.write_text("\n".join(["date,value", *rows, ""]))
         parse_block, refused = audit._parse_block, []
-        monkeypatch.setattr(audit, "_parse_block", lambda block, last_day: (
-            parse_block(block, last_day) or refused.append(block.splitlines())))
+
+        def refusing(block, *rest):
+            try:
+                return parse_block(block, *rest)
+            except DomainError:
+                refused.append(block.splitlines())
+                raise
+
+        monkeypatch.setattr(audit, "_parse_block", refusing)
         with pytest.raises(DomainError, match="row 32: ") as exc:
             load_series(path)
         assert len(refused) == 1 and rows[30] in refused[0]
@@ -445,19 +504,19 @@ class TestBytesLoader:
 
     @pytest.mark.parametrize("bad", ["abc", "inf", "backwards"])
     def test_a_bad_last_row_is_read_once(self, tmp_path, monkeypatch, bad):
-        # the blocks before the bad row are parsed in bulk once, and only
-        # the block that holds it is read row by row
+        # the file is opened once, and each of its blocks parsed once
         monkeypatch.setattr(audit, "_BLOCK_CHARS", 64)
         path = tmp_path / "s.csv"
         rows = _daily_rows(40)
         rows[-1] = "1999-12-31,1" if bad == "backwards" else f"{rows[-1][:10]},{bad}"
         path.write_text("\n".join(["date,value", *rows, ""]))
-        parse_rows = mock.Mock(wraps=audit._parse_rows)
-        monkeypatch.setattr(audit, "_parse_rows", parse_rows)
+        parse_block, blocks = audit._parse_block, []
+        monkeypatch.setattr(audit, "_parse_block", lambda block, *rest: (
+            blocks.append(block) or parse_block(block, *rest)))
         monkeypatch.setattr(audit, "open", mock.Mock(wraps=open), raising=False)
         with pytest.raises(DomainError, match="row 41: ") as exc:
             load_series(path)
-        assert parse_rows.call_count == 1 and audit.open.call_count == 1
+        assert "".join(blocks) == "\n".join([*rows, ""]) and audit.open.call_count == 1
         assert str(exc.value) == _outcome(reference_load_series, path)
 
     @settings(max_examples=300, deadline=None)
@@ -511,10 +570,36 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("bulk") / "s.csv"
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), block_chars=st.sampled_from([1, 2, 64, 1 << 16]))
+def test_padded_and_quoted_fields_load_as_plain(csv_path, data, n, block_chars):
+    # each field padded with blanks, outside and inside one pair of quotes
+    # or without them; the first row of block 2 has both fields quoted
+    cells = data.draw(st.lists(_decimal_cells(), min_size=n, max_size=n))
+    plain = [(str(date(2000, 1, 1) + timedelta(days=i)), cell) for i, cell in enumerate(cells)]
+    blanks = st.text(" \t", max_size=3)
+
+    def dressed(field, quoted):
+        if quoted:
+            field = '"' + data.draw(blanks) + field + data.draw(blanks) + '"'
+        return data.draw(blanks) + field + data.draw(blanks)
+
+    rows = [",".join(dressed(f, data.draw(st.booleans())) for f in row) for row in plain]
+    starts = np.cumsum([0] + [len(row) + 1 for row in rows])[:-1]
+    if starts[-1] > block_chars:  # the row that starts block 2
+        k = int(np.argmax(starts > block_chars))
+        rows[k] = ",".join(dressed(f, True) for f in plain[k])
+    with mock.patch.object(audit, "_BLOCK_CHARS", block_chars):
+        csv_path.write_text("\n".join(["date,value", *map(",".join, plain), ""]))
+        want = _outcome(_columns, csv_path)
+        csv_path.write_text("\n".join(['"date", value', *rows, ""]))
+        assert _outcome(_columns, csv_path) == want
+    assert isinstance(want, tuple)
+
+
 class TestBulkParser:
-    """The bulk path of load_series against float() bit for bit, and against
-    date.toordinal, with the long double path on and forced off; none of
-    these files may fall back to the row-by-row reader."""
+    """The bulk parser of load_series against float() bit for bit, and
+    against date.toordinal, with the long double path on and forced off."""
 
     @pytest.mark.parametrize("long_double", [True, False])
     @settings(max_examples=150, deadline=None)
@@ -523,8 +608,8 @@ class TestBulkParser:
     @example(cells=_MIDPOINT_CELLS)
     def test_decimal_text_as_float(self, csv_path, long_double, cells):
         _write_cells(csv_path, cells)
-        with mock.patch.object(audit, "_EXACT_LONG_DOUBLE", audit._EXACT_LONG_DOUBLE and long_double), \
-                mock.patch.object(audit, "_parse_rows", side_effect=AssertionError("fell back")):
+        with mock.patch.object(audit, "_EXACT_LONG_DOUBLE",
+                               audit._EXACT_LONG_DOUBLE and long_double):
             values = load_series(csv_path).values
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
@@ -541,7 +626,6 @@ class TestBulkParser:
         path = tmp_path / "s.csv"
         _write_cells(path, cells, start=date(1700, 1, 1))
         monkeypatch.setattr(audit, "_EXACT_LONG_DOUBLE", audit._EXACT_LONG_DOUBLE and long_double)
-        monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
         values = load_series(path).values
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
@@ -550,7 +634,6 @@ class TestBulkParser:
                 for i in range(date(y, 12, 31).timetuple().tm_yday)]
         path = tmp_path / "s.csv"
         path.write_text("date,value\n" + "".join(f"{d.isoformat()},1\n" for d in days))
-        monkeypatch.setattr(audit, "_parse_rows", mock.Mock(side_effect=AssertionError("fell back")))
         dates = load_series(path).dates
         assert (dates.astype(np.int64) + audit._EPOCH_ORDINAL).tolist() == [d.toordinal() for d in days]
 
@@ -566,18 +649,9 @@ class TestBulkParser:
                 cells.append(cell)
         path = tmp_path / "s.csv"
         _write_cells(path, cells)
-        calls = {"float": 0, "_parse_rows": 0}
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(audit, "float", counted("float", float), raising=False)
-        monkeypatch.setattr(audit, "_parse_rows", counted("_parse_rows", audit._parse_rows))
+        scanned = _scanned_cells(monkeypatch)
         values = load_series(path).values
-        assert calls == {"float": 0, "_parse_rows": 0}
+        assert not scanned
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
     @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
@@ -590,25 +664,19 @@ class TestBulkParser:
                  "4503599627370496.25", "-9007199254740992.0", "18014398509481987"]
         path = tmp_path / "s.csv"
         _write_cells(path, cells)
-        floats = []
-        monkeypatch.setattr(audit, "float", lambda c: floats.append(c) or float(c), raising=False)
+        scanned = _scanned_cells(monkeypatch)
         values = load_series(path).values
-        assert floats == [c.encode() for c in midpoints]
+        assert scanned == [c.encode() for c in midpoints]
         assert np.array_equal(_bits(values), _bits([float(c) for c in cells]))
 
 
 class TestLoadedSeries:
     def test_loader_hands_over_its_columns(self, tmp_path, monkeypatch):
-        parse_rows = mock.Mock(wraps=audit._parse_rows)
-        monkeypatch.setattr(audit, "_parse_rows", parse_rows)
         monkeypatch.setattr(audit.Series, "__post_init__", mock.Mock(side_effect=AssertionError))
-        for rows, fell_back in ((["2007-08-09,1.5", "2007-08-10,-2"], False),
-                                (['"2007-08-09",1.5', "2007-08-10,-2"], True)):
+        for rows in (["2007-08-09,1.5", "2007-08-10,-2"], ['"2007-08-09",1.5', "2007-08-10,-2"]):
             path = tmp_path / "s.csv"
             path.write_text("date,value\n" + "\n".join(rows) + "\n")
-            parse_rows.reset_mock()
             s = load_series(path)
-            assert parse_rows.called == fell_back
             assert s.dates.tolist() == [date(2007, 8, 9), date(2007, 8, 10)]
             assert s.values.tolist() == [1.5, -2.0] and s.source_label == str(path)
 

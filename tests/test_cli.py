@@ -1,5 +1,4 @@
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -483,8 +482,21 @@ class TestAudit:
     def test_field_past_csv_limit_exit_3(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("date,value\n2000-01-03," + "1" * 200_000 + "\n", encoding="utf-8")
-        message = f"error: {path}: row 2: field larger than field limit ({csv.field_size_limit()})\n"
+        message = f"error: {path}: row 2: non-finite value {'1' * 200_000!r}\n"
         assert run_cli(["audit", str(path)]) == (3, "", message)
+
+    def test_non_finite_moments_are_null(self, tmp_path):
+        # one day has no stdev (NaN), which JSON has no number for
+        path = tmp_path / "one.csv"
+        path.write_text("date,value\n2020-01-01,1.5\n", encoding="utf-8")
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code, out, err = run_cli(["audit", str(path), "--window", "20", "--format", "json"])
+        payload = json.loads(out, parse_constant=refuse)
+        assert (code, err, payload["mean"], payload["stdev"]) == (0, "", 1.5, None)
+        assert "stdev: nan\n" in run_cli(["audit", str(path), "--window", "20"])[1]
 
     def test_json_report(self, fixture_csv):
         code, out, _ = run_cli(["audit", str(fixture_csv), "--threshold", "3", "--format", "json"])

@@ -459,3 +459,19 @@ def test_format_parse_round_trip(L, digits):
 def test_argument_of_the_wrong_type_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+_SYNTAX_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.lists(st.sampled_from(PARSE_ALPHABET + ["_", "i", "n", "f", "a"]),
+                         max_size=8).map("".join), max_size=6))
+@example(["1", "2e5", "-.5"])
+@example(["1", "2e5", "1e", "+3"])
+@example(["inf", "nan", "1_0", "1"])
+def test_read_numbers_matches_the_grammar_cell_by_cell(texts):
+    # checked all at once, and one by one where one fails: the same values
+    want = [float(t) if _SYNTAX_RE.fullmatch(t) else math.nan for t in texts]
+    got = mg.read_numbers([t.encode() for t in texts])
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
