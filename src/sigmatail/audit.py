@@ -57,7 +57,7 @@ _DATE_ZEROS = _word(b"0000-00-")  # XOR leaves the digits 0..9 and the dashes 0
 _DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
 _DAY_ZEROS = _word(b"00")
 _DAY_MAX = _word(b"\x09\x09")
-_BLANK = np.isin(np.arange(256), [ord(" "), ord("\t")])  # by byte value
+_STOPS = np.isin(np.arange(256), list(b',\n"'))  # by byte value: where padding ends
 # calendar tables: by the four year digits, and by the two month digits plus
 # 100 in a leap year (year 0 counts as one, and is refused)
 _YEARS = np.arange(10000)
@@ -195,20 +195,29 @@ def _parse_block(block: str, last_day: int, path, first_row: int):
     """(day ordinals, values, lines) of a block of whole lines, which starts
     on row ``first_row`` of the file ``path``: the columns of its rows, whose
     days increase from after the ordinal ``last_day``, and its line count.
-    Lines of blanks are skipped, and the first bad row raises DomainError.
+    A line that is empty, or left empty by _unpadded(), is skipped, and the
+    first bad row raises DomainError.
 
     The block is padded as text, then encoded once to the array of UTF-8
     bytes it is parsed as: each line has _CELL_WIDTH bytes before its
     newline and 16 after its start.  All rows are read at once."""
     buf = "".join(("\n" * _CELL_WIDTH, block, "\n" * (not block.endswith("\n")), "\0" * 16)).encode()
     raw = np.frombuffer(buf, np.uint8)
+    if " " in block or "\t" in block or '"' in block:
+        raw = _unpadded(raw)
+        buf = raw.tobytes()
     ends = np.flatnonzero(raw == ord("\n"))[_CELL_WIDTH:]  # past the padding's newlines
-    rows, days, date_ok, end, width = _fields(raw, ends, " " in block or "\t" in block,
-                                              '"' in block)
-    values, slow = _decimal_values(raw, end, width)
+    starts = np.concatenate(([_CELL_WIDTH], ends[:-1] + 1))
+    rows = starts < ends
+    if not rows.all():
+        starts, ends = starts[rows], ends[rows]
+    days, date_ok = _day_ordinals(raw, starts)
+    date_ok &= raw[starts + 10] == ord(",")
+    width = np.maximum(ends - starts - 11, 0)  # of each value cell
+    values, slow = _decimal_values(raw, ends, width)
     slow = np.flatnonzero(slow)
-    values[slow] = read_numbers([buf[a:b] for a, b in zip((end[slow] - width[slow]).tolist(),
-                                                          end[slow].tolist())])
+    values[slow] = read_numbers([buf[a:b] for a, b in zip((ends[slow] - width[slow]).tolist(),
+                                                          ends[slow].tolist())])
     # the value of a cell that is not a number is NaN, and of one that
     # overflows inf; no other cell can be either
     bad = ~date_ok | (days <= np.concatenate(([last_day], days))[:-1])
@@ -218,49 +227,28 @@ def _parse_block(block: str, last_day: int, path, first_row: int):
         line = int(np.flatnonzero(rows)[i])  # in the block
         fault = _fault(block.split("\n")[line], date_ok[i], values[i], int(days[i]))
         raise DomainError(f"{path}: row {first_row + line}: {fault}")
-    return days, values, ends.size
+    return days, values, rows.size
 
 
-def _fields(raw: np.ndarray, ends: np.ndarray, blanks: bool, quotes: bool):
-    """Where the fields of the lines that end at ``ends`` in ``raw`` are: a
-    mask of the lines that are not blank, and of those rows the day
-    ordinals, a mask of the good dates (each followed by its comma), and
-    the end and width of each value cell.  A field may be padded with
-    blanks and wrapped in one pair of quotes, which may hold blanks too;
-    these are looked for only in a block that holds a blank (``blanks``)
-    or a quote (``quotes``)."""
-
-    def past_blanks(at, step=1):  # moved on (or back) past ASCII blanks
-        while blanks and (blank := _BLANK.take(raw[at])).any():
-            at = at + step * blank
-        return at
-
-    def past_padding(at, step=1):  # past blanks, a quote after them and blanks; and the quote
-        at = past_blanks(at, step)
-        if not quotes:
-            return at, False
-        quote = raw[at] == ord('"')
-        return past_blanks(at + step * quote, step), quote
-
-    start, open_date = past_padding(np.concatenate(([_CELL_WIDTH], ends[:-1] + 1)))
-    rows = start < ends
-    if quotes:  # a line of blanks and one quote is a row, and one of blanks and "" is blank
-        rows = (rows | open_date) & ~(open_date & (raw[start] == ord('"'))
-                                      & (past_blanks(start + 1) == ends))
-    if not rows.all():
-        start, ends = start[rows], ends[rows]
-        open_date = open_date[rows] if quotes else False
-    days, date_ok = _day_ordinals(raw, start)
-    comma, close_date = past_padding(start + 10)
-    value, open_value = past_padding(comma + 1)
-    last, close_value = past_padding(ends - 1, -1)  # the row's last character that is not padding
-    date_ok &= raw[comma] == ord(",")
-    width = np.maximum(last + 1 - value, 0)
-    if quotes:  # where a field's quotes do not pair, its date is refused, or its value
-        # cell left empty, which is never a number
-        date_ok &= open_date == close_date
-        width *= open_value == close_value
-    return rows, days, date_ok, last + 1, width
+def _unpadded(raw: np.ndarray) -> np.ndarray:
+    """``raw`` less the padding of its fields: each run of blanks that
+    touches a comma, a newline or a quote, then each pair of quotes that
+    opens a field and closes it.  Other blanks and quotes stay, and fail
+    the checks."""
+    at = np.flatnonzero((raw == ord(" ")) | (raw == ord("\t")))
+    if at.size:
+        first = np.concatenate(([True], np.diff(at) != 1))  # of a run of blanks
+        last = np.concatenate((first[1:], [True]))
+        touch = _STOPS[raw[at[first] - 1]] | _STOPS[raw[at[last] + 1]]
+        raw = np.delete(raw, at[touch[np.cumsum(first) - 1]])
+    quote = raw == ord('"')
+    if quote.any():  # a pair: two quotes next to each other among the quotes, commas
+        # and newlines, the first just after a comma or newline, the second just before one
+        at = np.flatnonzero(quote | (raw == ord(",")) | (raw == ord("\n")))
+        q, next_to = quote[at], np.diff(at) == 1
+        k = np.flatnonzero(q[1:-2] & q[2:-1] & next_to[:-2] & ~q[:-3] & next_to[2:] & ~q[3:]) + 1
+        raw = np.delete(raw, np.concatenate((at[k], at[k + 1])))
+    return raw
 
 
 def _fault(line: str, date_ok, value, day: int) -> str:

@@ -197,19 +197,25 @@ def format_sci(a: Magnitude, sig_digits: int = 4) -> str:
     return f"{mant_text}e{sign}{abs(exp)}"
 
 
+# the number syntax of parse and of the audit loader: [+-] digits[.[digits]]
+# or .digits, then [(e|E)[+-]digits], in ASCII; float() alone would also take
+# blanks, underscores, other scripts' digits, inf and nan
+_NUMBER = rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
+
 def read_numbers(cells: list) -> list:
-    """float(cell) of each cell whose bytes are a number as this package
-    writes one, and NaN for the others.  The syntax is [+-] digits[.[digits]]
-    or .digits, then [(e|E)[+-]digits], in ASCII: float()'s own, less its
-    blanks, underscores, other scripts' digits, inf and nan, each of which
-    needs a byte that is none of 0-9, the signs, the dot and e or E.  The
-    cells are checked all at once, and one by one only if one fails."""
-    try:
-        if not b"".join(cells).translate(None, b"0123456789+-.eE"):
+    """float(cell) of each cell whose bytes are a number in that syntax, and
+    NaN for the others.  float() reads them all at once if no cell holds a
+    byte outside 0-9, the signs, the dot and e or E, as float() refuses each
+    string of those bytes that the syntax does; else each is matched."""
+    if not b"".join(cells).translate(None, b"0123456789+-.eE"):
+        try:
             return list(map(float, cells))
-    except ValueError:
-        pass
-    return [math.nan] if len(cells) == 1 else [read_numbers([cell])[0] for cell in cells]
+        except ValueError:
+            pass
+    import re  # here, so that the math commands load no re
+
+    return [float(cell) if re.fullmatch(_NUMBER, cell) else math.nan for cell in cells]
 
 
 def parse(text: str) -> Magnitude:
