@@ -8,8 +8,6 @@ rounding error grows with the window, not with the length of the series
 (the blocked form of Chan, Golub & LeVeque, 1983, on updating variance).
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -51,9 +49,9 @@ def rolling_moments(values, window: int):
     Position t describes values[t-window:t]; the first ``window`` entries
     are NaN.  The kernel sums squares of the values less the mean of the
     first window: that centre conditions the sums of data with a large
-    offset, and no past window depends on a later value through it.  The
-    centred values are scaled by ``square_scale(values, window)``, which is
-    divided out of the results, so tiny or huge values keep their moments."""
+    offset, and no past window depends on a later value through it.  It is
+    taken, as every sum is, on the values scaled by ``square_scale(values,
+    window)``, so tiny or huge values keep their moments."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     w = int(window)
     if w < 2:
@@ -61,12 +59,12 @@ def rolling_moments(values, window: int):
     n = x.size
     if n <= w:
         return np.full(n, np.nan), np.full(n, np.nan)
-    center = float(np.mean(x[:w]))
     nb = -(-(n - w) // w)  # blocks in which a window starts
     blocks = np.empty((nb + 1) * w)
-    np.subtract(x, center, out=blocks[:n])
     scale = square_scale(x, w)
-    blocks[:n] *= scale
+    np.multiply(x, scale, out=blocks[:n])
+    center = float(np.mean(blocks[:w]))
+    blocks[:n] -= center
     blocks[n:] = 0.0
     blocks = blocks.reshape(nb + 1, w)
     # Both outputs are written in place: the window that starts at s goes
@@ -90,6 +88,6 @@ def rolling_moments(values, window: int):
     np.maximum(v, 0.0, out=v)
     np.sqrt(v, out=v)
     v /= scale
-    m /= scale
     m += center
+    m /= scale
     return means[:n], stds[:n]

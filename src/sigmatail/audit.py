@@ -7,15 +7,12 @@ Gaussian model via a log-domain binomial tail that survives astronomically
 small probabilities.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -37,10 +34,9 @@ _SIDES = ("loss", "both")
 # 2**20, 55 MB at 2**22)
 _BLOCK_CHARS = 1 << 18
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # the range of datetime.date, which flagged days are reported as
-_FIRST_DAY = np.datetime64(date.min, "D")
-_LAST_DAY = np.datetime64(date.max, "D")
+_FIRST_DAY = np.datetime64("0001-01-01")
+_LAST_DAY = np.datetime64("9999-12-31")
 
 # The bulk parser reads the bytes of a block as little-endian 64-bit words,
 # 8 characters each, and works on all the words of a column at once.
@@ -55,19 +51,24 @@ def _word(chars: bytes) -> np.uint64:
 
 _DATE_ZEROS = _word(b"0000-00-")  # XOR leaves the digits 0..9 and the dashes 0
 _DATE_MAX = _word(b"\x09\x09\x09\x09\x00\x09\x09\x00")
-_DAY_ZEROS = _word(b"00")
-_DAY_MAX = _word(b"\x09\x09")
+_DAY_ZEROS = _word(b"00,")
+_DAY_MAX = _word(b"\x09\x09\x00")
 _STOPS = np.isin(np.arange(256), list(b',\n"'))  # by byte value: where padding ends
-# calendar tables: by the four year digits, and by the two month digits plus
-# 100 in a leap year (year 0 counts as one, and is refused)
+# the calendar, in days from 1970-01-01 as datetime64[D]: tables by the four
+# year digits, and by the two month digits plus 100 in a leap year (year 0
+# counts as one, and is refused)
 _YEARS = np.arange(10000)
 _YEAR_ROW = 100 * ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0)))
 _DAYS_BEFORE_YEAR = ((_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100
                      + (_YEARS - 1) // 400)
+_DAYS_BEFORE_YEAR -= _DAYS_BEFORE_YEAR[1970] + 1  # now the last day of the year before
 _MONTH_DAYS = np.zeros((2, 100), np.int64)
 _MONTH_DAYS[:, 1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _MONTH_DAYS[1, 2] = 29
 _DAYS_BEFORE_MONTH = (np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS).ravel()
+# MMDD of each day of the year as a number: from 0 in a common year, 365 in a leap one
+_MONTH_AND_DAY = np.array([100 * m + d for row in _MONTH_DAYS for m in range(1, 13)
+                           for d in range(1, row[m] + 1)])
 _MONTH_DAYS = _MONTH_DAYS.ravel()
 
 # value cells of up to this many characters, three words, are parsed in
@@ -153,12 +154,10 @@ def load_series(path) -> Series:
             header = fh.readline()
             if not header:
                 raise DomainError(f"{path}: empty file")
-            fields = [f.strip(" \t") for f in header.rstrip("\n").split(",")]
-            fields = [f[1:-1].strip(" \t") if len(f) > 1 and f[0] == f[-1] == '"' else f
-                      for f in fields]
-            if [f.lower() for f in fields] != ["date", "value"]:
+            line = np.frombuffer(("\n" + header.rstrip("\n") + "\n").encode(), np.uint8)
+            if _unpadded(line).tobytes().lower() != b"\ndate,value\n":
                 raise DomainError(f"{path}: row 1: header must be 'date,value'")
-            first_row, last_day = 2, 0  # day ordinals start at 1
+            first_row, last_day = 2, int(_DAYS_BEFORE_YEAR[1])  # the day before 0001-01-01
             n, chars = 0, len(header)
             days, values = np.empty(0, np.int64), np.empty(0)
             while block := fh.read(_BLOCK_CHARS) + fh.readline():
@@ -184,7 +183,6 @@ def load_series(path) -> Series:
     # were checked as read, so Series(...)'s copy and checks are skipped.
     days.resize(n, refcheck=False)
     values.resize(n, refcheck=False)
-    days -= _EPOCH_ORDINAL
     days.flags.writeable = values.flags.writeable = False
     series = object.__new__(Series)
     series.__dict__.update(dates=days.view("datetime64[D]"), values=values, source_label=str(path))
@@ -192,9 +190,9 @@ def load_series(path) -> Series:
 
 
 def _parse_block(block: str, last_day: int, path, first_row: int):
-    """(day ordinals, values, lines) of a block of whole lines, which starts
-    on row ``first_row`` of the file ``path``: the columns of its rows, whose
-    days increase from after the ordinal ``last_day``, and its line count.
+    """(days, values, lines) of a block of whole lines, which starts on row
+    ``first_row`` of the file ``path``: the columns of its rows, whose days
+    (from 1970-01-01) increase from after ``last_day``, and its line count.
     A line that is empty, or left empty by _unpadded(), is skipped, and the
     first bad row raises DomainError.
 
@@ -212,7 +210,6 @@ def _parse_block(block: str, last_day: int, path, first_row: int):
     if not rows.all():
         starts, ends = starts[rows], ends[rows]
     days, date_ok = _day_ordinals(raw, starts)
-    date_ok &= raw[starts + 10] == ord(",")
     width = np.maximum(ends - starts - 11, 0)  # of each value cell
     values, slow = _decimal_values(raw, ends, width)
     slow = np.flatnonzero(slow)
@@ -225,7 +222,7 @@ def _parse_block(block: str, last_day: int, path, first_row: int):
     if bad.any():
         i = int(np.argmax(bad))
         line = int(np.flatnonzero(rows)[i])  # in the block
-        fault = _fault(block.split("\n")[line], date_ok[i], values[i], int(days[i]))
+        fault = _fault(buf[starts[i]:ends[i]].decode(), date_ok[i], values[i], int(days[i]))
         raise DomainError(f"{path}: row {first_row + line}: {fault}")
     return days, values, rows.size
 
@@ -254,13 +251,12 @@ def _unpadded(raw: np.ndarray) -> np.ndarray:
 def _fault(line: str, date_ok, value, day: int) -> str:
     """What is wrong with a row that the bulk checks refused: the first of
     an open quote, the field count, the date, the value, its finiteness and
-    the date order to fail.  A field is shown as ``csv`` reads it: less the
-    quote that opens it and the next one, if it has both."""
+    the date order to fail.  ``line`` is the row as _unpadded() left it, so
+    a field is shown as the parser saw it."""
     quote = line.rfind('"')
-    if quote >= 0 and line[:quote].rstrip(" \t")[-1:] in ("", ","):
+    if quote >= 0 and line[:quote][-1:] in ("", ","):
         return "line break inside a quoted field"
-    fields = [f[1:].replace('"', "", 1) if f[:1] == '"' and '"' in f[1:] else f
-              for f in line.split(",")]
+    fields = line.split(",")
     if len(fields) != 2:
         return f"expected 2 fields, got {len(fields)}"
     if not date_ok:
@@ -269,7 +265,7 @@ def _fault(line: str, date_ok, value, day: int) -> str:
         return f"bad value {fields[1]!r}"
     if math.isinf(value):
         return f"non-finite value {fields[1]!r}"
-    return f"date {date.fromordinal(day).isoformat()} not after previous row"
+    return f"date {np.datetime64(day, 'D')} not after previous row"
 
 
 def _words(raw: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:
@@ -300,11 +296,11 @@ def _digits(words: np.ndarray, steps: int = 3) -> np.ndarray:
 
 
 def _day_ordinals(raw: np.ndarray, starts: np.ndarray):
-    """The ``date.toordinal`` of the ``YYYY-MM-DD`` at each start in
+    """The day, from 1970-01-01, of the ``YYYY-MM-DD,`` at each start in
     ``raw``, and a mask of the starts where a date from year 1 is so written."""
     ymd, dd = _words(raw, starts, 2)
     ymd ^= _DATE_ZEROS  # "YYYY-MM-"
-    dd = (dd & np.uint64(0xFFFF)) ^ _DAY_ZEROS  # "DD"
+    dd = (dd & np.uint64(0xFFFFFF)) ^ _DAY_ZEROS  # "DD,"
     bad = (_over(ymd, _DATE_MAX) | _over(dd, _DAY_MAX)) != 0
     ymd[bad] = dd[bad] = 0  # read as day 0 of month 0 of year 0, which is no date
     ym = _digits(ymd, 2).view(np.int64)  # the year, then 10 times the month
@@ -379,11 +375,13 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
     """
     x = series.values
     n = x.size
-    sample_mean = float(np.mean(x)) if n else math.nan
-    sample_stdev = math.nan
-    if n > 1:  # scaled as the rolling moments are, against under- and overflow
+    sample_mean = sample_stdev = math.nan
+    if n:  # scaled as the rolling moments are, against under- and overflow
         scale = _kernels.square_scale(x, n)
-        sample_stdev = float(np.std(x * scale, ddof=1)) / scale
+        scaled = x * scale
+        sample_mean = float(np.mean(scaled)) / scale
+        sample_stdev = float(np.std(scaled, ddof=1)) / scale if n > 1 else math.nan
+        del scaled  # not held while the rolling moments are taken
 
     if window is None:
         if n < MIN_FULL_SAMPLE:
@@ -721,20 +719,14 @@ def _flagged_text(flagged: FlaggedDays) -> str:
 
 def _iso_dates(days: np.ndarray) -> np.ndarray:
     """``date.isoformat()`` of each datetime64[D] day in years 1..9999, as
-    a row of 10 ASCII bytes: year, month and day by Hinnant's
-    civil_from_days, written into one array."""
-    z = days.view(np.int64) + 719468  # days since 0000-03-01
-    era = z // 146097  # 400-year eras
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1st
-    mp = (5 * doy + 2) // 153  # months from March
-    day = doy - (153 * mp + 2) // 5 + 1
-    month = np.where(mp < 10, mp + 3, mp - 9)
-    year = era * 400 + yoe + (month <= 2)
-    # "YYYY", "00MM" and "00DD", kept as "YYYY0MM0DD" with the dashes written over
-    text = np.empty((days.size, 3), "<u4")
-    text[:, 0], text[:, 1], text[:, 2] = _FOUR_DIGITS[year], _FOUR_DIGITS[month], _FOUR_DIGITS[day]
-    text = text.view(np.uint8)[:, [0, 1, 2, 3, 4, 6, 7, 8, 10, 11]]
+    a row of 10 ASCII bytes: the year from _DAYS_BEFORE_YEAR, the month and
+    day from the day of that year, written into one array."""
+    days = days.view(np.int64)
+    year = np.searchsorted(_DAYS_BEFORE_YEAR, days) - 1
+    day_of_year = days - _DAYS_BEFORE_YEAR[year] - 1 + 365 * (_YEAR_ROW[year] != 0)
+    # "YYYY" and "MMDD", kept as "YYYYMMMDDD" with the dashes written over
+    text = np.empty((days.size, 2), "<u4")
+    text[:, 0], text[:, 1] = _FOUR_DIGITS[year], _FOUR_DIGITS[_MONTH_AND_DAY[day_of_year]]
+    text = text.view(np.uint8)[:, [0, 1, 2, 3, 3, 4, 5, 5, 6, 7]]
     text[:, 4] = text[:, 7] = ord("-")
     return text

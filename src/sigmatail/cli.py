@@ -10,8 +10,6 @@ The parser is built once per process, so repeated in-process ``main`` calls
 do not pay again for building it (README, "Calling the CLI in-process").
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

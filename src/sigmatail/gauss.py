@@ -25,8 +25,6 @@ configurable trading-day convention), streak odds, and back from periods to
 sigma levels.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

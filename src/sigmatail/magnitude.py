@@ -10,8 +10,6 @@ in between modules.  Addition is deliberately not provided; sums that matter
 numerically happen in ordinary floats before values are lifted here.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError, ParseError, finite_real

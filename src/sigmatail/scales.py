@@ -2,8 +2,6 @@
 equivalents, order-of-magnitude gaps, and named reference scales
 (geological/cosmological timescales and particle-count estimates)."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -129,10 +127,10 @@ def load_reference_scales(path) -> tuple[ReferenceScale, ...]:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     scales = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\n")
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = [p.strip(" \t") for p in line.split(",")]
         if len(parts) != 4:
             raise DomainError(
                 f"{path}: line {lineno}: expected name,kind,low,high"

@@ -8,8 +8,6 @@ thresholds (k = 25 and far beyond) and huge nu stay exact where a tail
 evaluated as a double underflows.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

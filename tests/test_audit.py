@@ -100,7 +100,7 @@ class TestLoadSeries:
         ("2020-01-06,-Infinity", "bad value", "-Infinity"),
         ("2020-01-06,nan", "bad value", "nan"),
         ('"2020-01-06,1.5"', "bad date", '"2020-01-06'),
-        ('2020-01-06,"1"5', "bad value", "15"),
+        ('2020-01-06,"1"5', "bad value", '"1"5'),
     ], ids=["basic date", "week date", "underscore", "Arabic-Indic digits",
             "no-break space", "ideographic space", "form feed", "inf", "-Infinity", "nan",
             "row quoted as a whole", "text after a closing quote"])
@@ -108,7 +108,7 @@ class TestLoadSeries:
         # forms that float(), date.fromisoformat() or csv read, and the loader
         # does not: a comma always separates fields, inside quotes too, and
         # a pair of quotes must close at the field's end; a field is shown
-        # as csv reads it
+        # as the parser saw it, less padding and a closed pair of quotes
         path = tmp_path / "s.csv"
         path.write_text(f"date,value\n2020-01-01,1\n{row}\n2020-01-07,2\n", encoding="utf-8")
         with pytest.raises(DomainError) as exc:
@@ -180,7 +180,7 @@ class TestLoadSeries:
         assert peak <= 1.2 * (s.dates.nbytes + s.values.nbytes)
 
     @pytest.mark.parametrize("stage, bound", [
-        (lambda s, m: estimate_moments(s, 250), 6.0),
+        (lambda s, m: estimate_moments(s, 250), 3.75),
         (lambda s, m: flag_events(s, m, 2.0, "both"), 1.6),
         (lambda s, m: flag_events(s, m, 2.0, "loss"), 1.6),
     ], ids=["estimate_moments", "flag_events", "flag_events_loss"])
@@ -205,14 +205,31 @@ _REFERENCE_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _REFERENCE_VALUE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
+def _reference_shown(field):
+    """A field as written, less the blanks at its ends and next to each of
+    its quotes, then less a pair of quotes that opens and closes it with no
+    quote between: as the loader's messages show it."""
+    field = '"'.join(part.strip(" \t") for part in field.split('"'))
+    if len(field) > 1 and field[0] == field[-1] == '"' and field.count('"') == 2:
+        return field[1:-1]
+    return field
+
+
 def reference_load_series(path):
     """A row-by-row ``csv`` loader, kept as the oracle: (dates, values) as
     lists, or a DomainError.  Fields lose their ASCII blanks at both ends,
     dates must be YYYY-MM-DD and values ASCII decimals with an optional
-    exponent (no inf, nan, underscore or other blank)."""
-    rows = []
+    exponent (no inf, nan, underscore or other blank).  A bad field is
+    shown from the text of its record, cut at every comma."""
+    rows, record = [], []  # the lines of the record csv read last
+
+    def lines(fh):
+        for line in fh:
+            record.append(line)
+            yield line
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -220,7 +237,10 @@ def reference_load_series(path):
         if [c.strip().lower() for c in header] != ["date", "value"]:
             raise DomainError(f"{path}: row 1: header must be 'date,value'")
         prev = None
+        record.clear()
         for rownum, row in enumerate(reader, start=2):
+            shown = [_reference_shown(f) for f in "".join(record).rstrip("\r\n").split(",")]
+            record.clear()
             if not row or (len(row) == 1 and not row[0].strip(" \t")):
                 continue
             if len(row) != 2:
@@ -229,12 +249,12 @@ def reference_load_series(path):
             try:
                 d = date.fromisoformat(_REFERENCE_DATE.fullmatch(day)[0])
             except (TypeError, ValueError):
-                raise DomainError(f"{path}: row {rownum}: bad date {row[0]!r}") from None
+                raise DomainError(f"{path}: row {rownum}: bad date {shown[0]!r}") from None
             if not _REFERENCE_VALUE.fullmatch(value):
-                raise DomainError(f"{path}: row {rownum}: bad value {row[1]!r}")
+                raise DomainError(f"{path}: row {rownum}: bad value {shown[1]!r}")
             v = float(value)
             if not math.isfinite(v):
-                raise DomainError(f"{path}: row {rownum}: non-finite value {row[1]!r}")
+                raise DomainError(f"{path}: row {rownum}: non-finite value {shown[1]!r}")
             if prev is not None and d <= prev:
                 raise DomainError(
                     f"{path}: row {rownum}: date {d.isoformat()} not after previous row"
@@ -277,6 +297,8 @@ DIFFERENTIAL_FILES = {
     "quoted fields": ['"2007-08-09","1.5"', '2007-08-10,"-2"', '"2007-08-11",3'],
     "quote inside a field": ['2007-08-09,1"', '2007-08-10,2'],
     "text after a closing quote": ['"2007-08-09"x,1'],
+    "padded text after a closing quote": ['2007-08-09, "1" 5 '],
+    "padded and quoted bad date": [' " 2007-08-0x " ,1'],
     "a quote that closes no field": ['2007-08-09",1'],
     "quoted blank lines": ["2007-08-09,1", '""', '" "', "2007-08-10,2"],
     "CRLF": "date,value\r\n2007-08-09,1\r\n2007-08-10,2\r\n",
@@ -364,9 +386,11 @@ class TestLoaderDifferential:
         with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field"):
             load_series(path)
 
-    @pytest.mark.parametrize("line", ['"', ' \t" ', '2007-08-10,"', '"2007-08-10,1'])
+    @pytest.mark.parametrize("line", ['"', ' \t" ', '2007-08-10,"', '"2007-08-10,1',
+                                      '"2007-08-10,"1"'])
     def test_quote_left_open_names_its_row(self, tmp_path, line):
-        # a line of one quote is no blank line
+        # a line of one quote is no blank line, and a closed pair of quotes
+        # in a later field does not close the quote that opens the first
         path = tmp_path / "s.csv"
         path.write_text(f"date,value\n2007-08-09,1\n{line}\n2007-08-11,3\n")
         with pytest.raises(DomainError, match=r"row 3: line break inside a quoted field$"):
@@ -654,7 +678,8 @@ class TestBulkParser:
         path = tmp_path / "s.csv"
         path.write_text("date,value\n" + "".join(f"{d.isoformat()},1\n" for d in days))
         dates = load_series(path).dates
-        assert (dates.astype(np.int64) + audit._EPOCH_ORDINAL).tolist() == [d.toordinal() for d in days]
+        epoch = date(1970, 1, 1).toordinal()
+        assert (dates.astype(np.int64) + epoch).tolist() == [d.toordinal() for d in days]
 
     @pytest.mark.skipif(not audit._EXACT_LONG_DOUBLE, reason="every row goes to float() here")
     def test_plain_17_digit_decimals_never_call_float(self, tmp_path, monkeypatch):
@@ -884,11 +909,13 @@ class TestKernels:
 
 class TestScaleInvariance:
     """x and x * 2**k, k = -565 and 531 (values near 1e-170 and 1e160, whose
-    squares under- and overflow): every moment scales by 2**k exactly, and
-    the scores, flagged days and report are the same."""
+    squares under- and overflow) and 1022 (max |x| 2**k within a factor 2 of
+    the largest double, where sums of the values overflow): every moment
+    scales by 2**k exactly, and the scores, flagged days and report are the
+    same."""
 
     @pytest.mark.parametrize("window", [None, 50])
-    @pytest.mark.parametrize("k", [-565, 531])
+    @pytest.mark.parametrize("k", [-565, 531, 1022])
     def test_moments_scale_exactly(self, window, k):
         x = np.random.default_rng(3).standard_normal(300)
         series, scaled = make_series(x), make_series(x * 2.0 ** k)
@@ -920,10 +947,11 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("args", [[], ["--window", "50", "--format", "json"]],
                              ids=["text", "rolling-json"])
-    @pytest.mark.parametrize("factor", [1e-170, 1e160])
+    @pytest.mark.parametrize("factor", [1e-170, 1e160, 4.25e307])
     def test_cli_audit_of_tiny_and_huge_values(self, write_series_csv, args, factor):
         # unscaled, the squares of these values underflow to a zero stdev
-        # (every day unscored) or overflow ("overflow encountered in square")
+        # (every day unscored) or overflow ("overflow encountered in square"),
+        # and near the largest double so do the sums of the values
         x = np.random.default_rng(3).standard_normal(300)
         runs = []
         for name, values in (("x.csv", x), ("scaled.csv", x * factor)):

@@ -376,6 +376,19 @@ class TestContext:
         assert code == 0 and err == ""
         assert "vs dog years (years)" in out
 
+    def test_refs_strip_only_spaces_and_tabs(self, tmp_path):
+        # as the audit loader does: a no-break space is refused here, as
+        # parse() refuses it on the command line
+        refs = tmp_path / "refs.csv"
+        refs.write_text(" dog years\t, years ,7,7 \na,years,\u00a01e5\u00a0,2e5\n",
+                        encoding="utf-8")
+        message = f"error: {refs}: line 2: not a number: '\\xa01e5\\xa0'\n"
+        assert run_cli(["context", "10", "--refs", str(refs)]) == (3, "", message)
+        assert run_cli(["lottery", "--p", "\u00a01e-5"])[0] == 3
+        refs.write_text(" dog years\t, years ,7,7 \n", encoding="utf-8")
+        code, out, err = run_cli(["context", "3", "--refs", str(refs)])
+        assert code == 0 and err == "" and "vs dog years (years)" in out
+
 
 HUGE_EXPONENT = "1e" + "9" * 400  # past the float range, not only LOG10_CAP
 

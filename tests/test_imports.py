@@ -114,6 +114,22 @@ def test_math_commands_agree_on_every_python():
         assert _math_command_outputs(python) == want, python
 
 
+def test_every_module_compiles_on_every_python():
+    # audit.py and _kernels.py import numpy, which another interpreter may
+    # lack, so no run there would meet syntax it does not read; compile()
+    # reads every module and writes no bytecode
+    siblings = _sibling_pythons()
+    if not siblings:
+        pytest.skip("no other CPython >= 3.10 beside this one")
+    code = ("import pathlib, sys\n"
+            "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.py')):\n"
+            "    compile(path.read_text(encoding='utf-8'), str(path), 'exec')")
+    for python in siblings:
+        run = subprocess.run([str(python), "-S", "-c", code, str(SRC / "sigmatail")],
+                             capture_output=True, text=True, env={"PATH": "/usr/bin:/bin"})
+        assert (run.returncode, run.stderr) == (0, ""), python
+
+
 def test_library_math_loads_no_re_enum_or_functools():
     # a parse, a tail and a >= (Python's reflected <=) run without them
     code = ("import sigmatail.gauss, sigmatail.scales, sigmatail.studentt\n"
