@@ -436,12 +436,17 @@ class FlaggedDays:
 
 def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
     """(value - mean) / stdev per day; NaN where unscored, and +-inf where
-    the quotient overflows (a stdev near the bottom of the float range)."""
+    the quotient overflows (a stdev near the bottom of the float range).
+    Where value - mean passes the largest double, the score is taken on the
+    halves, (value/2 - mean/2) / (stdev/2), which are exact at that size."""
+    x, mean, stdev = series.values, moments.mean, moments.stdev
     # every day is divided, unscored ones too (their stdev may be NaN or 0),
     # and then set to NaN
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.subtract(series.values, moments.mean)
-        out /= moments.stdev
+        out = np.subtract(x, mean)
+        over = np.flatnonzero(np.isinf(out))
+        out /= stdev
+        out[over] = (x[over] * 0.5 - mean[over] * 0.5) / (stdev[over] * 0.5)
     out[~moments.scored] = np.nan
     return out
 

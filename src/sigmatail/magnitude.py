@@ -1,9 +1,9 @@
-"""Extended-range positive numbers stored in the log10 domain.
+"""Extended-range nonnegative numbers stored in the log10 domain.
 
-A ``Magnitude`` holds the base-10 logarithm of a strictly positive real (or
-an explicit zero flag), so values like 1e-276 and 1e+272 are ordinary
-first-class quantities: products, quotients, integer powers and comparisons
-are exact log10 arithmetic and never underflow or overflow.
+A ``Magnitude`` holds the base-10 logarithm of a nonnegative real, -inf for
+zero, so values like 1e-276 and 1e+272 are ordinary first-class quantities:
+products, quotients, integer powers and comparisons are exact log10
+arithmetic and never underflow or overflow.
 
 This is the only representation probabilities and occurrence periods travel
 in between modules.  Addition is deliberately not provided; sums that matter
@@ -19,51 +19,44 @@ from .errors import DomainError, ParseError, finite_real
 LOG10_CAP = 1e15
 
 
-def _checked_log10(value: float) -> float:
-    value = finite_real(value, "log10 value must be finite")
-    if abs(value) > LOG10_CAP:
-        raise DomainError(
-            f"exponent out of supported range: |log10| = {abs(value):.6g} > {LOG10_CAP:g}"
-        )
-    return value
-
-
 class Magnitude:
     """A nonnegative real represented by its base-10 logarithm.
 
     Use :func:`from_real`, :func:`from_sci` or :func:`parse` to construct
-    instances; ``Magnitude(L)`` itself means "the value whose log10 is L".
-    Arithmetic is ``*``, ``/`` and :func:`pow_int`; the six
+    instances; ``Magnitude(L)`` itself means "the value whose log10 is L",
+    zero for L = -inf.  Arithmetic is ``*``, ``/`` and :func:`pow_int`; the six
     comparisons order by value, zero below every positive value; ``a > b``
     and ``a >= b`` are Python's reflected ``b < a`` and ``b <= a``.  A float
     operand raises TypeError, except in ``==`` and ``!=``, where it is unequal.
     """
 
-    __slots__ = ("_log10", "_zero")
+    __slots__ = ("_log10",)
 
-    def __init__(self, log10_value: float = 0.0, *, zero: bool = False):
-        if zero:
-            self._log10 = 0.0
-            self._zero = True
-        else:
-            self._log10 = _checked_log10(log10_value)
-            self._zero = False
+    def __init__(self, log10_value: float = 0.0):
+        value = -math.inf  # zero; a caller's np.float64 -inf is not kept
+        if not isinstance(log10_value, float) or log10_value != value:
+            value = finite_real(log10_value, "log10 value must be finite")
+            if abs(value) > LOG10_CAP:
+                raise DomainError(
+                    f"exponent out of supported range: |log10| = {abs(value):.6g} > {LOG10_CAP:g}"
+                )
+        self._log10 = value
 
     @property
     def log10_value(self) -> float:
-        """Base-10 logarithm of the represented value (0.0 for the zero value)."""
+        """Base-10 logarithm of the represented value (-inf for zero)."""
         return self._log10
 
     @property
     def is_zero(self) -> bool:
-        return self._zero
+        return self._log10 == -math.inf
 
     def as_float(self) -> float:
         """The represented value as an ordinary float.
 
         Raises DomainError when the value falls outside double range.
         """
-        if self._zero:
+        if self._log10 == -math.inf:
             return 0.0
         try:
             v = 10.0 ** self._log10
@@ -77,7 +70,7 @@ class Magnitude:
 
     def sci_parts(self) -> tuple[float, int]:
         """(mantissa, exponent10) with mantissa in [1, 10), or (0.0, 0) for zero."""
-        if self._zero:
+        if self._log10 == -math.inf:
             return 0.0, 0
         exp = math.floor(self._log10)
         mant = 10.0 ** (self._log10 - exp)  # >= 1, as the fraction is >= 0
@@ -91,17 +84,13 @@ class Magnitude:
     def __mul__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        if self._zero or other._zero:
-            return ZERO
         return Magnitude(self._log10 + other._log10)
 
     def __truediv__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        if other._zero:
+        if other._log10 == -math.inf:
             raise DomainError("division by zero")
-        if self._zero:
-            return ZERO
         return Magnitude(self._log10 - other._log10)
 
     # ordering: a > b is Python's reflected b < a, and a >= b is b <= a -----
@@ -109,20 +98,20 @@ class Magnitude:
     def __eq__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return (self._zero, self._log10) == (other._zero, other._log10)
+        return self._log10 == other._log10
 
     def __lt__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return (not self._zero, self._log10) < (not other._zero, other._log10)
+        return self._log10 < other._log10
 
     def __le__(self, other):
         if not isinstance(other, Magnitude):
             return NotImplemented
-        return (not self._zero, self._log10) <= (not other._zero, other._log10)
+        return self._log10 <= other._log10
 
     def __hash__(self):
-        return hash((self._zero, self._log10))
+        return hash(self._log10)
 
     def __repr__(self):
         return f"Magnitude({format_sci(self, 6)!r})"
@@ -131,7 +120,7 @@ class Magnitude:
         return format_sci(self, 6)
 
 
-ZERO = Magnitude(zero=True)
+ZERO = Magnitude(-math.inf)
 ONE = Magnitude(0.0)
 
 
@@ -183,10 +172,7 @@ def format_sci(a: Magnitude, sig_digits: int = 4) -> str:
         raise DomainError("sig_digits must be an integer in [1, 17]")
     _check_magnitude(a, "a")
     decimals = sig_digits - 1
-    if a.is_zero:
-        mant_text = f"{0.0:.{decimals}f}"
-        return f"{mant_text}e+0"
-    mant, exp = a.sci_parts()
+    mant, exp = a.sci_parts()  # (0.0, 0) for zero, printed as 0.000e+0
     mant_text = f"{mant:.{decimals}f}"
     if float(mant_text) >= 10.0:
         exp += 1

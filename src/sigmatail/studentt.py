@@ -128,7 +128,9 @@ def student_t_tail(k: float, spec: TDistSpec) -> Magnitude:
     # y = t^2 / nu, where standardizing makes t = k sqrt(nu / (nu - 2))
     scale = nu - 2.0 if spec.standardized else nu
     y = k * k / scale
-    ln_y = 2.0 * math.log(k) - math.log(scale)
+    # log(y) carries only y's own rounding; two logs cancel where k^2 is near
+    # scale, and a * ln_x multiplies that error by nu / 2
+    ln_y = math.log(y) if 1e-300 < y < 1e300 else 2.0 * math.log(k) - math.log(scale)
     # ln x and ln z, z = 1 - x = y / (1 + y), each without cancellation
     if y <= 1.0:
         ln_x = -math.log1p(y)

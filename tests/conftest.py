@@ -82,12 +82,18 @@ def binom_tail_ln_oracle(n, m, log10_p, dps=50):
         return mp.log(-mp.expm1(ln_side)) if head else ln_side
 
 
-def assert_ln_close(got_ln, true_ln, what=""):
-    """1e-9 relative while |log10| < 3000; beyond that, where a double's
-    log10 carries the result, 1e-13 relative on the logarithm."""
+def assert_ln_close(got_ln, true_ln, what="", rel=1e-9, ln_rel=1e-13):
+    """rel relative while |log10| < 3000; beyond that, where a double's
+    log10 carries the result, ln_rel relative on the logarithm."""
     err = abs(mp.mpf(got_ln) - true_ln)
-    tol = 1e-9 if abs(true_ln) < 3000 * math.log(10) else 1e-13 * abs(true_ln)
+    tol = rel if abs(true_ln) < 3000 * math.log(10) else ln_rel * abs(true_ln)
     assert err <= tol, f"{what}: ln {got_ln!r}, true {mp.nstr(true_ln, 17)}, error {mp.nstr(err, 3)}"
+
+
+def assert_t_tail_close(got_ln, true_ln, what=""):
+    """The bounds student_t_tail states: 3e-12 relative on q, and beyond
+    1e-3000 1e-15 relative on its logarithm."""
+    assert_ln_close(got_ln, true_ln, what, rel=3e-12, ln_rel=1e-15)
 
 
 def make_series(values, start=date(1985, 1, 1), label="synthetic") -> Series:

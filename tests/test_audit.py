@@ -970,6 +970,41 @@ class TestScaleInvariance:
             assert float(got.pop(key)) == pytest.approx(float(want.pop(key)) * factor, rel=1e-12)
         assert got == want
 
+    @pytest.mark.parametrize("window", [None, 50])
+    def test_scores_where_x_minus_mean_overflows(self, window):
+        # values near 1.5 * 2**1023, within a factor 2 of the largest double,
+        # with one day at -1.25 * 2**1023, whose x - mean passes it
+        x = 1.5 + 0.01 * np.random.default_rng(11).standard_normal(300)
+        x[280] = -1.25
+        series, scaled = make_series(x), make_series(x * 2.0 ** 1023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want, got = (sigma_scores(s, estimate_moments(s, window)) for s in (series, scaled))
+            want_days, got_days = (flag_events(s, estimate_moments(s, window), 3.0)
+                                   for s in (series, scaled))
+        mean = float(estimate_moments(scaled, window).mean[280])
+        assert math.isinf(float(scaled.values[280]) - mean)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert list(got_days) == list(want_days) and got_days.dates[-1] == series.dates[280]
+
+    @pytest.mark.parametrize(("args", "want"), [
+        ([], "  2000-10-07  -17.2182\n"),
+        (["--window", "50", "--format", "json"],
+         '{"date": "2000-10-07", "sigma_score": -242.5783}'),
+    ], ids=["text", "rolling-json"])
+    def test_cli_audit_where_x_minus_mean_overflows(self, write_series_csv, args, want):
+        # near 1.2e308 a day at -1e308 is 2.2e308 below the mean: its score
+        # once printed as -inf, and in JSON as -Infinity
+        x = 1.2e308 + np.random.default_rng(11).standard_normal(300) * 1e306
+        x[280] = -1e308
+        path = write_series_csv(x, start=date(2000, 1, 1))
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["audit", str(path), "--threshold", "3", *args], out=out, err=err) == 0
+        assert err.getvalue() == ""
+        assert want in out.getvalue() and "inf" not in out.getvalue().lower()
+        if args:
+            json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
+
 
 class TestFlagEvents:
     def test_two_sigma_count_near_expected(self, standard_normal_10k):

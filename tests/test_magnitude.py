@@ -197,8 +197,9 @@ class TestOperators:
         assert 1.0 != from_real(1.0)
 
     def test_zero_divided_is_zero(self):
-        assert ZERO / parse("1e-300") is ZERO
-        assert ZERO / Magnitude(9e14) is ZERO
+        for divisor in (parse("1e-300"), Magnitude(9e14)):
+            q = ZERO / divisor
+            assert q == ZERO and q.is_zero
 
     @pytest.mark.parametrize("x", [ZERO, ONE, parse("1e-300")])
     def test_divide_by_zero_raises(self, x):
@@ -362,10 +363,17 @@ class TestAsFloat:
             parse("1e-400").as_float()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_log10_rejected(value):
     with pytest.raises(DomainError, match="^log10 value must be finite$"):
         Magnitude(value)
+
+
+@pytest.mark.parametrize("value", [-math.inf, np.float64(-math.inf)], ids=["float", "numpy"])
+def test_minus_inf_log10_is_zero(value):
+    m = Magnitude(value)
+    assert m == ZERO and m.is_zero
+    assert type(m.log10_value) is float and m.log10_value == -math.inf
 
 
 @pytest.mark.parametrize("value", [10 ** 400, True, "1", np.int64(3)],
@@ -435,6 +443,26 @@ def test_compare_antisymmetric_and_transitive(x, y, z):
     assert trio[0] <= trio[1] <= trio[2]
     if a <= b and b <= c:
         assert a <= c
+
+
+magnitudes = st.one_of(st.just(ZERO), st.just(ONE),
+                       st.floats(min_value=-mg.LOG10_CAP, max_value=mg.LOG10_CAP).map(Magnitude))
+
+
+@given(magnitudes, st.integers(min_value=1, max_value=10 ** 6))
+@example(ZERO, 1)
+@example(Magnitude(-mg.LOG10_CAP), 10 ** 6)
+def test_zero_is_log10_minus_inf(m, n):
+    # the log10 round-trips for every value, zero included, and every way of
+    # making zero gives the one value, which orders below every positive one
+    assert Magnitude(m.log10_value) == m
+    zeros = [from_real(0.0), parse("0"), ZERO * m, m * ZERO, pow_int(ZERO, n)]
+    if not m.is_zero:
+        zeros.append(ZERO / m)
+        assert ZERO < m and ZERO <= m and m > ZERO and m >= ZERO
+        assert not (m < ZERO or m <= ZERO or m == ZERO)
+    for z in zeros:
+        assert z == ZERO and z.is_zero and hash(z) == hash(ZERO)
 
 
 @given(st.floats(min_value=-1000.0, max_value=1000.0), st.integers(min_value=14, max_value=17))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -45,6 +47,17 @@ class TestLotteryEquivalent:
 
     def test_from_gauss_tail(self):
         assert lottery_equivalent(gauss.gauss_tail(25.0).probability) == (21, 22)
+
+    @pytest.mark.parametrize(("lp", "n"), [
+        (-825.3342611186928, 129), (-850.9260211533809, 133),
+        (-876.5177811880691, 137), (-902.1095412227572, 141),
+    ])
+    def test_floor_slip_down(self, lp, n):
+        # lp is the double just above n * lq: lp / lq rounds to n, but
+        # n * lq < lp, so q**n < p and the guard steps n down by one
+        lq = DEFAULT_LOTTERY.win_probability.log10_value
+        assert math.floor(lp / lq) == n and n * lq < lp
+        assert lottery_equivalent(Magnitude(lp)) == (n - 1, n)
 
 
 @given(st.floats(min_value=-300.0, max_value=-1e-6))

@@ -3,7 +3,7 @@ import math
 import pytest
 from mpmath import mp
 
-from conftest import assert_ln_close, t_tail_ln_oracle, tail_log10_oracle
+from conftest import assert_t_tail_close, t_tail_ln_oracle, tail_log10_oracle
 from sigmatail import gauss, studentt
 from sigmatail.errors import DomainError
 from sigmatail.studentt import TDistSpec, gap_vs_gaussian, student_t_tail
@@ -115,13 +115,25 @@ class TestStudentTTail:
     def test_sweep_against_mpmath(self, nu):
         for k in SWEEP_KS:
             got = student_t_tail(k, TDistSpec(nu)).log10_value * LN10
-            assert_ln_close(got, t_tail_ln_oracle(k, nu), f"nu={nu!r}, k={k!r}")
+            assert_t_tail_close(got, t_tail_ln_oracle(k, nu), f"nu={nu!r}, k={k!r}")
 
     @pytest.mark.parametrize("nu", [1e-3, 0.5, 1.0, 2.0, 7.0, 1e5])
     def test_raw_sweep_against_mpmath(self, nu):
         for k in [1e-3, 0.5, 1.0, 1.5, 3.0, 30.0, 1e3, 1e6]:
             got = student_t_tail(k, TDistSpec(nu, standardized=False)).log10_value * LN10
-            assert_ln_close(got, t_tail_ln_oracle(k, nu, standardized=False), f"nu={nu!r}, k={k!r}")
+            assert_t_tail_close(got, t_tail_ln_oracle(k, nu, standardized=False),
+                                f"nu={nu!r}, k={k!r}")
+
+    # standardized draws where 2 log(k) - log(nu - 2) cancelled and a * ln x
+    # multiplied the error by nu / 2: 3.5e-12 to 4e-12 relative off before
+    @pytest.mark.parametrize(("k", "nu"), [
+        (194.28586132835824, 7442.32596751896),
+        (141.38809114399731, 9537.156210509265),
+        (90.98013801676014, 3769.0345938235823),
+    ])
+    def test_k_squared_near_nu(self, k, nu):
+        got = student_t_tail(k, TDistSpec(nu)).log10_value * LN10
+        assert_t_tail_close(got, t_tail_ln_oracle(k, nu), f"nu={nu!r}, k={k!r}")
 
     def test_far_beyond_double_range(self):
         # nu = 1000 at k = 60 lies at 1e-333.565; k = 1e200 squares past the float range
