@@ -19,6 +19,11 @@ from .errors import DomainError, ParseError, finite_real
 LOG10_CAP = 1e15
 
 
+def _out_of_range(log10_value: float) -> DomainError:
+    return DomainError(
+        f"exponent out of supported range: |log10| = {abs(log10_value):.6g} > {LOG10_CAP:g}")
+
+
 class Magnitude:
     """A nonnegative real represented by its base-10 logarithm.
 
@@ -37,9 +42,7 @@ class Magnitude:
         if not isinstance(log10_value, float) or log10_value != value:
             value = finite_real(log10_value, "log10 value must be finite")
             if abs(value) > LOG10_CAP:
-                raise DomainError(
-                    f"exponent out of supported range: |log10| = {abs(value):.6g} > {LOG10_CAP:g}"
-                )
+                raise _out_of_range(value)
         self._log10 = value
 
     @property
@@ -161,7 +164,14 @@ def pow_int(a: Magnitude, n: int) -> Magnitude:
         raise DomainError("zero may only be raised to a positive power")
     if n == 0:
         return ONE
-    return Magnitude(a.log10_value * n)
+    num, den = a.log10_value.as_integer_ratio()
+    try:
+        value = num * n / den  # the exact product rounded once, for an n of any size
+    except OverflowError:
+        value = math.inf
+    if abs(value) > LOG10_CAP:  # inf too, which Magnitude would read as zero
+        raise _out_of_range(value)
+    return Magnitude(value)
 
 
 def format_sci(a: Magnitude, sig_digits: int = 4) -> str:

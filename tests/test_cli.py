@@ -283,6 +283,13 @@ class TestStreak:
         assert out == ""
         assert err.startswith("error: exponent out of supported range")
 
+    @pytest.mark.parametrize("days", [10 ** 308, 10 ** 309], ids=["to-minus-inf", "past-float"])
+    def test_days_past_the_cap(self, days):
+        # 5-sigma odds to the 1e308th power overflow a float product, which
+        # printed a probability of zero; past the float range they raised
+        assert run_cli(["streak", "5", "--days", str(days)]) == (
+            3, "", "error: exponent out of supported range: |log10| = inf > 1e+15\n")
+
 
 class TestLottery:
     def test_true_25_sigma(self):
@@ -616,13 +623,17 @@ class TestEnvironment:
 
 
 class TestParserReuse:
-    """main builds the parser once per process and looks the handler up by
-    name on every call."""
+    """A well-formed argv builds no parser; main builds argparse's once per
+    process for the argvs that argparse must read, and looks the handler up
+    by name on every call."""
 
     ARGVS = (["prob", "2"], ["table", "--ks", "3,4"], ["occurrence", "--p", "1e-6"],
              ["streak", "3", "--days", "2"], ["lottery", "--p", "1e-30"],
              ["invert", "--years", "1e6"], ["context", "5"], ["ttail", "4", "--nu", "3"],
              ["prob", "25", "--mode", "exact"], ["table", "--ks", "x"])
+    # a value joined by "=", a positional after "--", an abbreviated option
+    ARGPARSE_ARGVS = (["table", "--ks=3,4"], ["prob", "--", "-0.0"],
+                      ["occurrence", "--p", "1e-6", "--dig", "3"])
 
     def test_parsers_built_once(self, monkeypatch):
         built = []
@@ -636,7 +647,10 @@ class TestParserReuse:
         cli.build_parser.cache_clear()
         for i in range(50):
             assert run_cli(self.ARGVS[i % len(self.ARGVS)])[0] in (0, 3)
-        assert len(built) <= 10  # the top level and nine subcommands, once
+        assert built == []
+        for i in range(30):
+            assert run_cli(self.ARGPARSE_ARGVS[i % len(self.ARGPARSE_ARGVS)])[0] == 0
+        assert len(built) == 10  # the top level and nine subcommands, once
 
     def test_handler_looked_up_at_call_time(self, monkeypatch):
         assert run_cli(["prob", "2"])[0] == 0

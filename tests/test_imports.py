@@ -2,8 +2,8 @@
 bare ``import sigmatail`` loads none of its submodules, and the CLI neither
 decimal nor json, each of which has one rare user, nor ``scales`` outside
 the three commands that use it, nor the dataclasses, inspect or typing that
-plain named tuples do not need.  A library user's math loads neither re,
-enum nor functools.
+plain named tuples do not need, nor argparse for a well-formed command.  A
+library user's math loads neither re, enum nor functools.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -76,6 +76,20 @@ def test_math_commands_load_no_dataclasses_inspect_or_typing(code):
     # -S: no site .pth file may load these first and hide an import of ours
     loaded = _loaded_after(code, ("dataclasses", "inspect", "typing"), flags=("-S",))
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv", [*MATH_COMMANDS, ["audit"]],
+                         ids=[*map(_command_id, MATH_COMMANDS), "audit"])
+def test_well_formed_commands_load_no_argparse(argv, tmp_path):
+    # argparse reads only help requests and usage errors.  -S, as above; the
+    # audit finds numpy by a path added by hand, which loads no .pth file
+    if argv == ["audit"]:
+        numpy_dir = Path(importlib.util.find_spec("numpy").origin).parents[1]
+        code = f"import sys; sys.path.append({str(numpy_dir)!r})\n" + _cli(
+            ["audit", _audit_csv(tmp_path), "--window", "20", "--format", "json"])
+    else:
+        code = _cli(argv)
+    assert _loaded_after(code, ("argparse",), flags=("-S",)) == "[]"
 
 
 def _math_command_outputs(python) -> list[tuple[int, str, str]]:

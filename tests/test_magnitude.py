@@ -122,6 +122,22 @@ class TestArithmetic:
     def test_pow_zero_exponent(self):
         assert pow_int(parse("5e-20"), 0) == ONE
 
+    @pytest.mark.parametrize("log10_a, n", [
+        (2.0, 10 ** 15), (2.0, 10 ** 308), (-6.5, 10 ** 308), (-6.5, 10 ** 309),
+        (-6.5, -(10 ** 400)), (1e-300, 10 ** 316),
+    ], ids=["past-cap", "to-inf", "to-minus-inf", "n-past-float", "negative-n", "tiny-base"])
+    def test_pow_past_cap(self, log10_a, n):
+        # |log10 a * n| > LOG10_CAP, overflowing a float product, or with an n
+        # that no float holds: never zero, never a float error
+        with pytest.raises(DomainError, match=r"^exponent out of supported range: \|log10\| = "):
+            pow_int(Magnitude(log10_a), n)
+
+    def test_pow_exact_for_any_n(self):
+        assert pow_int(ONE, 10 ** 400) == ONE
+        assert pow_int(ZERO, 10 ** 400).is_zero
+        assert pow_int(Magnitude(1e-300), 10 ** 310) == Magnitude(1e10)
+        assert pow_int(Magnitude(-2.0), -(10 ** 14)) == Magnitude(2e14)
+
     def test_pow_requires_integer(self):
         with pytest.raises(DomainError):
             pow_int(ONE, 2.5)
