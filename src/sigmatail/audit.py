@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, gauss
 from .errors import DomainError, finite_real
-from .magnitude import ONE, Magnitude, _check_magnitude, from_real, read_numbers
+from .magnitude import ONE, Magnitude, _check_magnitude, from_real, read_numbers, sci_json
 
 LN10 = math.log(10.0)
 
@@ -648,7 +648,6 @@ def report_json(report: AuditReport) -> str:
     is not finite is null.  Each flagged day is ``{"date": "YYYY-MM-DD",
     "sigma_score": score}``, the score in json's float text.  The flagged
     days are written as one matrix of bytes, a row per day, and decoded once."""
-    mant, exp10 = report.p_value_at_least_observed.sci_parts()
     text = json.dumps({
         "n_days": report.n_days,
         "mean": report.mean if math.isfinite(report.mean) else None,
@@ -659,7 +658,7 @@ def report_json(report: AuditReport) -> str:
         "flagged": [],
         "expected_count": report.expected_count,
         "observed_count": report.observed_count,
-        "p_value_at_least_observed": {"mantissa": mant, "exponent10": exp10},
+        "p_value_at_least_observed": sci_json(report.p_value_at_least_observed),
     }, sort_keys=True)
     if not len(report.flagged):
         return text

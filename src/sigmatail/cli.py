@@ -2,7 +2,10 @@
 
 Subcommands wrap the library one-to-one; everything prints deterministic,
 locale-independent text.  Results go to stdout, diagnostics and errors to
-stderr.  Exit codes: 0 success, 2 usage error, 3 domain error.
+stderr.  Exit codes: 0 success, 2 usage error, 3 domain error; main alone
+decides the status, and a handler returns nothing.  A handler prints its
+first line only after every step that can fail, so a command that fails
+leaves stdout empty.
 
 days_per_year defaults to 250 and may be overridden per command with --dpy.
 
@@ -27,12 +30,7 @@ from types import SimpleNamespace
 
 from . import gauss
 from .errors import DomainError, ParseError
-from .magnitude import Magnitude, format_sci, parse, pow_int
-
-
-def _mag_json(m: Magnitude) -> dict:
-    mant, exp10 = m.sci_parts()
-    return {"mantissa": mant, "exponent10": exp10}
+from .magnitude import format_sci, parse, pow_int, sci_json
 
 
 def _parse_ks(text: str) -> list[float]:
@@ -52,7 +50,7 @@ def _fmt_k(k: float) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_prob(args, out, err) -> int:
+def _cmd_prob(args, out, err):
     r = gauss.gauss_tail(args.k, mode=args.mode, days_per_year=args.dpy)
     d = args.digits
     print(f"k: {_fmt_k(r.k)}", file=out)
@@ -66,10 +64,9 @@ def _cmd_prob(args, out, err) -> int:
         f"truncation_bound={dg.truncation_bound:.3e}",
         file=err,
     )
-    return 0
 
 
-def _cmd_table(args, out, err) -> int:
+def _cmd_table(args, out, err):
     results = [gauss.gauss_tail(k, days_per_year=args.dpy) for k in _parse_ks(args.ks)]
     d = args.digits
     header = ("k", "percent", "occurrence_days", "occurrence_years")
@@ -81,15 +78,15 @@ def _cmd_table(args, out, err) -> int:
             "rows": [
                 {
                     "k": r.k,
-                    "percent": _mag_json(r.percent),
-                    "occurrence_days": _mag_json(r.occurrence_days),
-                    "occurrence_years": _mag_json(r.occurrence_years),
+                    "percent": sci_json(r.percent),
+                    "occurrence_days": sci_json(r.occurrence_days),
+                    "occurrence_years": sci_json(r.occurrence_years),
                 }
                 for r in results
             ],
         }
         print(json.dumps(payload, sort_keys=True), file=out)
-        return 0
+        return
     text_rows = [
         (_fmt_k(r.k), format_sci(r.percent, d), format_sci(r.occurrence_days, d),
          format_sci(r.occurrence_years, d))
@@ -109,10 +106,9 @@ def _cmd_table(args, out, err) -> int:
         print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(), file=out)
         for row in text_rows:
             print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip(), file=out)
-    return 0
 
 
-def _cmd_occurrence(args, out, err) -> int:
+def _cmd_occurrence(args, out, err):
     if (args.k is None) == (args.p is None):
         raise DomainError("give exactly one of K or --p")
     d = args.digits
@@ -123,10 +119,9 @@ def _cmd_occurrence(args, out, err) -> int:
         p = parse(args.p)
     print(f"occurrence_days: {format_sci(gauss.occurrence_days(p), d)}", file=out)
     print(f"occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}", file=out)
-    return 0
 
 
-def _cmd_streak(args, out, err) -> int:
+def _cmd_streak(args, out, err):
     d = args.digits
     r = gauss.gauss_tail(args.k)
     streak = gauss.streak_probability(r.probability, args.days)
@@ -137,27 +132,24 @@ def _cmd_streak(args, out, err) -> int:
         "(raises the percent form to the power instead of the probability)",
         file=out,
     )
-    return 0
 
 
-def _cmd_lottery(args, out, err) -> int:
+def _cmd_lottery(args, out, err):
     from . import scales  # only lottery, context and ttail use it
 
     p = parse(args.p)
     model = scales.LotteryModel(parse(args.win_prob)) if args.win_prob else scales.DEFAULT_LOTTERY
     n_low, n_high = scales.lottery_equivalent(p, model)
     print(f"between {n_low} and {n_high} consecutive wins", file=out)
-    return 0
 
 
-def _cmd_invert(args, out, err) -> int:
+def _cmd_invert(args, out, err):
     years = parse(args.years)
     k = gauss.sigma_for_period(years, args.dpy)
     print(f"k ≈ {k:.4f}", file=out)
-    return 0
 
 
-def _cmd_context(args, out, err) -> int:
+def _cmd_context(args, out, err):
     from . import scales
 
     d = args.digits
@@ -166,38 +158,37 @@ def _cmd_context(args, out, err) -> int:
     baseline = None if args.baseline_years is None else parse(args.baseline_years)
     if baseline is not None and baseline.is_zero:
         raise DomainError("--baseline-years must be positive")
+    comps = scales.compare_to_references(r.occurrence_years, refs)
+    n_low, n_high = scales.lottery_equivalent(r.probability)
+    gap = None if baseline is None else scales.order_gap(r.occurrence_years, baseline)
     print(f"k: {_fmt_k(r.k)}", file=out)
     print(f"percent: {format_sci(r.percent, d)} %", file=out)
     print(f"occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
-    for comp in scales.compare_to_references(r.occurrence_years, refs):
+    for comp in comps:
         note = "  [unit mismatch: years vs count]" if comp.kind == "count" else ""
         print(
             f"vs {comp.name} ({comp.kind}): x{format_sci(comp.ratio_low, d)}"
             f" .. x{format_sci(comp.ratio_high, d)}{note}",
             file=out,
         )
-    n_low, n_high = scales.lottery_equivalent(r.probability)
     print(f"lottery: between {n_low} and {n_high} consecutive wins", file=out)
-    if baseline is not None:
-        print(f"order gap vs baseline: {scales.order_gap(r.occurrence_years, baseline)}", file=out)
-    return 0
+    if gap is not None:
+        print(f"order gap vs baseline: {gap}", file=out)
 
 
-def _cmd_ttail(args, out, err) -> int:
+def _cmd_ttail(args, out, err):
     from . import scales, studentt  # studentt: only this command uses it
 
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
-    # computed before anything is printed, so an error leaves stdout empty
     gap = scales.order_gap(tail, gauss.gauss_tail(args.k).probability) if args.k >= 8.0 else None
     print(f"t_tail: {format_sci(tail, d)}", file=out)
     if gap is not None:
         print(f"gap_vs_gaussian: {gap}", file=out)
-    return 0
 
 
-def _cmd_audit(args, out, err) -> int:
+def _cmd_audit(args, out, err):
     from . import audit as audit_mod  # loads numpy: only this command pays for it
 
     series = audit_mod.load_series(args.file)
@@ -210,7 +201,7 @@ def _cmd_audit(args, out, err) -> int:
     d = args.digits
     if args.format == "json":
         print(audit_mod.report_json(report), file=out)
-        return 0
+        return
     r = gauss.gauss_tail(report.threshold_k, days_per_year=args.dpy)
     print(f"source: {series.source_label}", file=out)
     print(f"n_days: {report.n_days}", file=out)
@@ -236,7 +227,6 @@ def _cmd_audit(args, out, err) -> int:
         "(no volatility clustering)",
         file=out,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +365,11 @@ def main(argv=None, out=None, err=None) -> int:
         dpy = getattr(args, "dpy", None)
         if dpy is not None and dpy < 1:
             raise DomainError("--dpy must be >= 1")
-        return globals()["_cmd_" + args.command](args, out, err)
+        globals()["_cmd_" + args.command](args, out, err)
     except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 3
+    return 0
 
 
 def run() -> None:

@@ -240,8 +240,10 @@ def occurrence_days(p: Magnitude) -> Magnitude:
 
 
 def occurrence_years(p: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> Magnitude:
+    """Expected-occurrence period in years: 1/(p * days_per_year), for any
+    integer days_per_year >= 1, one past the float range included."""
     days_per_year = _validate_dpy(days_per_year)
-    return occurrence_days(p) / from_real(days_per_year)
+    return occurrence_days(p) / Magnitude(math.log10(days_per_year))
 
 
 def streak_probability(p: Magnitude, m: int) -> Magnitude:

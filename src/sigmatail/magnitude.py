@@ -162,8 +162,6 @@ def pow_int(a: Magnitude, n: int) -> Magnitude:
         if n > 0:
             return ZERO
         raise DomainError("zero may only be raised to a positive power")
-    if n == 0:
-        return ONE
     num, den = a.log10_value.as_integer_ratio()
     try:
         value = num * n / den  # the exact product rounded once, for an n of any size
@@ -172,6 +170,12 @@ def pow_int(a: Magnitude, n: int) -> Magnitude:
     if abs(value) > LOG10_CAP:  # inf too, which Magnitude would read as zero
         raise _out_of_range(value)
     return Magnitude(value)
+
+
+def sci_json(a: Magnitude) -> dict:
+    """The one JSON form of a Magnitude: its sci_parts, keyed mantissa and exponent10."""
+    mant, exp10 = a.sci_parts()
+    return {"mantissa": mant, "exponent10": exp10}
 
 
 def format_sci(a: Magnitude, sig_digits: int = 4) -> str:

@@ -396,6 +396,15 @@ class TestContext:
         code, out, err = run_cli(["context", "3", "--refs", str(refs)])
         assert code == 0 and err == "" and "vs dog years (years)" in out
 
+    def test_ratio_past_cap_prints_nothing(self, tmp_path):
+        # 1e6 sigma recurs every 10**(2.17e11) years: the ratio to a bound
+        # of 1e-999999999999999 years is past LOG10_CAP
+        refs = tmp_path / "refs.csv"
+        refs.write_text("tiny,years,1e-999999999999999,1e-999999999999999\n", encoding="utf-8")
+        code, out, err = run_cli(["context", "1000000", "--refs", str(refs)])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: exponent out of supported range")
+
 
 HUGE_EXPONENT = "1e" + "9" * 400  # past the float range, not only LOG10_CAP
 
@@ -622,6 +631,77 @@ class TestEnvironment:
         assert "(default 250)" in capsys.readouterr().out
 
 
+DPY_PAST_FLOAT = str(10 ** 400)
+
+
+class TestFailureLeavesStdoutEmpty:
+    """A command either succeeds or prints nothing to stdout: each handler
+    computes before it prints, and --dpy is checked once, so an integer past
+    the float range is a valid --dpy."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["prob", "2"], "occurrence_years: 4.396e-399"),
+        (["table", "--ks", "2", "--format", "csv"], "2,2.275e+0,4.396e+1,4.396e-399"),
+        (["occurrence", "2"], "occurrence_years: 4.396e-399"),
+        (["occurrence", "--p", "0.5"], "occurrence_years: 2.000e-400"),
+        (["context", "2"], "occurrence_years: 4.396e-399"),
+    ], ids=["prob", "table", "occurrence-k", "occurrence-p", "context"])
+    def test_dpy_past_float_range(self, argv, line):
+        code, out, _ = run_cli([*argv, "--dpy", DPY_PAST_FLOAT])
+        assert code == 0
+        assert line in out.splitlines()
+
+    def test_seeded_sweep(self, tmp_path):
+        rng = random.Random(2011)
+        values = ("0", "2", "25", "1e6", "1e-999999999999999", "1e+999999999999999")
+        dpys = ("1", "250", str(10 ** 9), DPY_PAST_FLOAT)
+        refs = []
+        for i, (low, high) in enumerate([("1e-999999999999999", "1e-999999999999999"),
+                                         ("1e+999999999999999", "1e+999999999999999"),
+                                         ("1e-999999999999999", "1e+999999999999999")]):
+            path = tmp_path / f"refs{i}.csv"
+            path.write_text(f"a,years,{low},{high}\nb,count,{low},{high}\n", encoding="utf-8")
+            refs.append(str(path))
+        series = tmp_path / "series.csv"
+        _write_fixture(series, np.random.default_rng(3).standard_normal(40))
+
+        def value():
+            return rng.choice(values)
+
+        def maybe(*option):
+            return list(option) if rng.random() < 0.5 else []
+
+        argvs = {
+            "prob": lambda: ["prob", value(), *maybe("--dpy", rng.choice(dpys))],
+            "table": lambda: ["table", "--ks", f"{value()},{value()}",
+                              "--format", rng.choice(("text", "json")),
+                              *maybe("--dpy", rng.choice(dpys))],
+            "occurrence": lambda: [*rng.choice((["occurrence", value()],
+                                                ["occurrence", "--p", value()])),
+                                   *maybe("--dpy", rng.choice(dpys))],
+            "streak": lambda: ["streak", value(), "--days",
+                               rng.choice(("1", "2", "700000000000000"))],
+            "lottery": lambda: ["lottery", "--p", value(), *maybe("--win-prob", value())],
+            "invert": lambda: ["invert", "--years", value(),
+                               *maybe("--dpy", rng.choice(dpys))],
+            "context": lambda: ["context", value(), *maybe("--refs", rng.choice(refs)),
+                                *maybe("--baseline-years", value()),
+                                *maybe("--dpy", rng.choice(dpys))],
+            "ttail": lambda: ["ttail", value(), "--nu", value(), *maybe("--standardized")],
+            "audit": lambda: ["audit", str(series), *maybe("--window", "20"),
+                              "--threshold", value(), "--format", rng.choice(("text", "json")),
+                              *maybe("--dpy", rng.choice(dpys))],
+        }
+        codes = {0: 0, 3: 0}
+        for _ in range(3000):
+            argv = argvs[rng.choice(list(argvs))]()
+            code, out, _ = run_cli(argv)
+            assert code in codes, argv
+            assert code == 0 or out == "", argv
+            codes[code] += 1
+        assert min(codes.values()) > 300  # both outcomes are well sampled
+
+
 class TestParserReuse:
     """A well-formed argv builds no parser; main builds argparse's once per
     process for the argvs that argparse must read, and looks the handler up
@@ -655,8 +735,8 @@ class TestParserReuse:
     def test_handler_looked_up_at_call_time(self, monkeypatch):
         assert run_cli(["prob", "2"])[0] == 0
         calls = []
-        monkeypatch.setattr(cli, "_cmd_prob", lambda args, out, err: calls.append(args.k) or 7)
-        assert run_cli(["prob", "2.5"])[0] == 7
+        monkeypatch.setattr(cli, "_cmd_prob", lambda args, out, err: calls.append(args.k))
+        assert run_cli(["prob", "2.5"]) == (0, "", "")
         assert calls == [2.5]
 
 

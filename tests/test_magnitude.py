@@ -121,6 +121,8 @@ class TestArithmetic:
 
     def test_pow_zero_exponent(self):
         assert pow_int(parse("5e-20"), 0) == ONE
+        for log10_a in (1e15, -1e15, 1e-300, -1e-300, 0.5, -0.5):
+            assert pow_int(Magnitude(log10_a), 0) == ONE
 
     @pytest.mark.parametrize("log10_a, n", [
         (2.0, 10 ** 15), (2.0, 10 ** 308), (-6.5, 10 ** 308), (-6.5, 10 ** 309),
