@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, finite_real
-from .magnitude import ONE, Magnitude, _check_magnitude, from_real, pow_int
+from .magnitude import LN10, ONE, Magnitude, _check_magnitude, from_real, pow_int
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_DAYS_PER_YEAR = 250
@@ -52,7 +52,6 @@ _MAX_NEWTON_STEPS = 8
 _HALF_LOG10E_HI = 0.2171472409516259
 _HALF_LOG10E_LO = 5.491598251083825e-18
 _HALF_LOG10_2PI = 0.3990899341790575
-_LN10 = math.log(10.0)
 
 # truncation_bound: |first omitted term| / |partial sum| (0 on the exact path)
 SeriesDiagnostics = namedtuple("SeriesDiagnostics", "path terms_used truncation_bound")
@@ -277,7 +276,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
         raise DomainError(f"period beyond the supported range (k <= {MAX_K:g})")
     # start at the three-term asymptotic root (DLMF 7.17(iii)), L = -ln p, or
     # at sqrt(2L) where its radicand is <= 1 (L < 1.944)
-    two_l = -2.0 * target * _LN10
+    two_l = -2.0 * target * LN10
     a = math.log(2.0 * math.pi * two_l)
     k2 = two_l - a + (a - 2.0) / two_l
     k = min(math.sqrt(k2 if k2 > 1.0 else two_l), MAX_K)
@@ -285,7 +284,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
         log10_p = _log10_tail_auto(k)[1]
         # d log10 p / dk = -phi(k) / (p ln 10), with phi the normal density
         log10_phi = -k * k * _HALF_LOG10E_HI - _HALF_LOG10_2PI
-        step = (log10_p - target) * _LN10 / 10.0 ** (log10_phi - log10_p)
+        step = (log10_p - target) * LN10 / 10.0 ** (log10_phi - log10_p)
         if abs(step) <= 2.5e-10:
             return k + step
         k += step

@@ -18,6 +18,9 @@ from .errors import DomainError, ParseError, finite_real
 # finite so log10_value never degrades into inf/nan silently.
 LOG10_CAP = 1e15
 
+# ln 10: a natural log over it is a log10
+LN10 = math.log(10.0)
+
 
 def _out_of_range(log10_value: float) -> DomainError:
     return DomainError(

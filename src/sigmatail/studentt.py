@@ -13,9 +13,8 @@ from collections import namedtuple
 
 from . import gauss, scales
 from .errors import DomainError, finite_real
-from .magnitude import Magnitude, from_real
+from .magnitude import LN10, Magnitude, from_real
 
-LN10 = math.log(10.0)
 LN2 = math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
 

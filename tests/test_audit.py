@@ -19,10 +19,10 @@ from mpmath import mp
 from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
 from sigmatail import _kernels, audit, cli, gauss, magnitude
 from sigmatail.audit import (
-    AuditReport, FlaggedDay, FlaggedDays, Moments, Series, binomial_tail_at_least,
-    build_report, estimate_moments, flag_events, load_series, report_as_dict,
-    report_json, sigma_scores,
+    AuditReport, FlaggedDay, FlaggedDays, Moments, Series, build_report, estimate_moments,
+    flag_events, load_series, report_as_dict, report_json, sigma_scores,
 )
+from sigmatail.binomial import REL_TOL, binomial_tail_at_least
 from sigmatail.errors import DomainError
 from sigmatail.magnitude import ONE, Magnitude, format_sci, from_real, parse
 
@@ -1088,7 +1088,7 @@ class TestBinomialTail:
 
     def test_one_of_fortyfour(self):
         got = binomial_tail_at_least(44, 1, from_real(0.02275))
-        assert got.as_float() == pytest.approx(0.636712980420511, rel=1e-9)
+        assert got.as_float() == pytest.approx(0.636712980420511, rel=REL_TOL)
 
     def test_two_25_sigma_days_among_250(self):
         got = binomial_tail_at_least(250, 2, parse("3.057e-138"))
@@ -1107,19 +1107,20 @@ class TestBinomialTail:
                         (300, 150, 0.5), (50, 49, 0.9)]:
             got = binomial_tail_at_least(n, m, from_real(p)).as_float()
             want = float(binom_tail_oracle(n, m, p))
-            assert got == pytest.approx(want, rel=1e-9), (n, m, p)
+            assert got == pytest.approx(want, rel=REL_TOL), (n, m, p)
 
     def test_million_trials_against_mpmath(self):
         for n, m, p in [(1_000_000, 500500, 0.5), (1_000_000, 1100, 1e-3),
                         (1_000_000, 900, 1e-3)]:
             got = binomial_tail_at_least(n, m, from_real(p)).as_float()
             want = float(mp.exp(binom_tail_ln_oracle(n, m, math.log10(p))))
-            assert got == pytest.approx(want, rel=1e-9), (n, m, p)
+            assert got == pytest.approx(want, rel=REL_TOL), (n, m, p)
 
     @pytest.mark.parametrize(("n", "m", "log10_p"), _binomial_sweep())
     def test_sweep_against_mpmath(self, n, m, log10_p):
         got = binomial_tail_at_least(n, m, Magnitude(log10_p)).log10_value * math.log(10.0)
-        assert_ln_close(got, binom_tail_ln_oracle(n, m, log10_p), f"({n}, {m}, 1e{log10_p})")
+        assert_ln_close(got, binom_tail_ln_oracle(n, m, log10_p), f"({n}, {m}, 1e{log10_p})",
+                        rel=REL_TOL)
 
     def test_trillion_trials_near_the_mean(self):
         # ~2.4e5 terms (8 standard deviations) on each branch, not the 1e9

@@ -12,7 +12,7 @@ from sigmatail.gauss import (
     SeriesDiagnostics, TailResult, gauss_tail, occurrence_days,
     occurrence_years, sigma_for_period, streak_probability,
 )
-from sigmatail.magnitude import ONE, ZERO, Magnitude, format_sci, from_real, parse
+from sigmatail.magnitude import LN10, ONE, ZERO, Magnitude, format_sci, from_real, parse
 
 # Upper-tail probabilities frozen from a 60-digit erfc evaluation.
 TAIL_CHECKPOINTS = {
@@ -446,7 +446,7 @@ class TestSigmaForPeriod:
         def reference(log10_years, dpy):
             target = -(log10_years + math.log10(dpy))
             lo, hi = 0.0, gauss.MAX_K
-            two_l = -2.0 * target * gauss._LN10
+            two_l = -2.0 * target * LN10
             a = math.log(2.0 * math.pi * two_l)
             k2 = two_l - a + (a - 2.0) / two_l
             k = min(math.sqrt(k2 if k2 > 1.0 else two_l), gauss.MAX_K)
@@ -457,7 +457,7 @@ class TestSigmaForPeriod:
                 else:
                     hi = k
                 log10_phi = -k * k * gauss._HALF_LOG10E_HI - gauss._HALF_LOG10_2PI
-                step = (log10_p - target) * gauss._LN10 / 10.0 ** (log10_phi - log10_p)
+                step = (log10_p - target) * LN10 / 10.0 ** (log10_phi - log10_p)
                 if abs(step) <= 2.5e-10:
                     return k + step
                 k += step

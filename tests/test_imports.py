@@ -1,9 +1,11 @@
-"""numpy loads only for the command that uses it, and scipy for none; a
-bare ``import sigmatail`` loads none of its submodules, and the CLI neither
-decimal nor json, each of which has one rare user, nor ``scales`` outside
-the three commands that use it, nor the dataclasses, inspect or typing that
-plain named tuples do not need, nor argparse for a well-formed command.  A
-library user's math loads neither re, enum nor functools.
+"""numpy loads only for the command that uses it, not for the binomial tail
+that the audit calls, and scipy for none; a bare ``import sigmatail`` loads
+none of its submodules, and the CLI neither decimal nor json, each of which
+has one rare user, nor ``scales`` outside the three commands that use it,
+nor the dataclasses, inspect or typing that plain named tuples do not need,
+nor argparse for a well-formed command.  A library user's math loads
+neither re, enum nor functools.  The math commands and the binomial tail
+give the same bits on every CPython >= 3.10 installed beside this one.
 
 Each check runs in a fresh interpreter, since this test process has
 imported numpy already.  The package's public names resolve, and so do the
@@ -42,8 +44,13 @@ def test_import_cli_loads_no_numpy_or_scipy():
     assert _loaded_after("import sigmatail.cli") == "[]"
 
 
-def test_gauss_tail_loads_no_numpy_or_scipy():
-    assert _loaded_after("import sigmatail; sigmatail.gauss_tail(25)") == "[]"
+BINOMIAL_CALL = "sigmatail.binomial_tail_at_least(250, 2, sigmatail.from_real(1e-3))"
+
+
+@pytest.mark.parametrize("call", ["sigmatail.gauss_tail(25)", BINOMIAL_CALL],
+                         ids=["gauss_tail", "binomial_tail_at_least"])
+def test_gauss_tail_loads_no_numpy_or_scipy(call):
+    assert _loaded_after(f"import sigmatail; {call}") == "[]"
 
 
 MATH_COMMANDS = [
@@ -128,6 +135,34 @@ def test_math_commands_agree_on_every_python():
         assert _math_command_outputs(python) == want, python
 
 
+# (n, m, log10 p) from the mpmath sweep of tests/test_audit.py: the direct
+# sum, the head as the upper tail of n - X, j = n, and ln(1 - p) at p = 2e-10
+BINOMIAL_QUERIES = [(250, 2, -8.0), (250, 125, -0.3), (10_000, 98, -2.0),
+                    (400_000, 400_000, -400.0), (10_000_000, 5_112_111, -0.3),
+                    (10 ** 10, 2, -9.698970004336019)]
+
+
+def _binomial_reprs(python) -> tuple[int, str, str]:
+    code = ("from sigmatail import Magnitude, binomial_tail_at_least\n"
+            f"for n, m, log10_p in {BINOMIAL_QUERIES!r}:\n"
+            "    print(repr(binomial_tail_at_least(n, m, Magnitude(log10_p)).log10_value))")
+    run = subprocess.run([str(python), "-S", "-c", code], capture_output=True, text=True,
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC),
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_binomial_tail_agrees_on_every_python():
+    # it loads no numpy, so every sibling runs it
+    siblings = _sibling_pythons()
+    if not siblings:
+        pytest.skip("no other CPython >= 3.10 beside this one")
+    want = _binomial_reprs(sys.executable)
+    assert want[0] == 0 and len(want[1].split()) == len(BINOMIAL_QUERIES), want
+    for python in siblings:
+        assert _binomial_reprs(python) == want, python
+
+
 def test_every_module_compiles_on_every_python():
     # audit.py and _kernels.py import numpy, which another interpreter may
     # lack, so no run there would meet syntax it does not read; compile()
@@ -145,10 +180,11 @@ def test_every_module_compiles_on_every_python():
 
 
 def test_library_math_loads_no_re_enum_or_functools():
-    # a parse, a tail and a >= (Python's reflected <=) run without them
-    code = ("import sigmatail.gauss, sigmatail.scales, sigmatail.studentt\n"
+    # a parse, two tails and a >= (Python's reflected <=) run without them
+    code = ("import sigmatail, sigmatail.gauss, sigmatail.scales, sigmatail.studentt\n"
             "from sigmatail.magnitude import ONE, ZERO, parse\n"
-            "sigmatail.gauss.gauss_tail(25); parse('3.057e-138'); assert ONE >= ZERO")
+            "sigmatail.gauss.gauss_tail(25); parse('3.057e-138'); assert ONE >= ZERO\n"
+            + BINOMIAL_CALL)
     assert _loaded_after(code, ("re", "enum", "functools"), flags=("-S",)) == "[]"
 
 
