@@ -32,9 +32,8 @@ _EXPORTS = {
     **dict.fromkeys(("TDistSpec", "gap_vs_gaussian", "student_t_tail"), "studentt"),
     "binomial_tail_at_least": "binomial",
     **dict.fromkeys(
-        ("AuditReport", "FlaggedDay", "FlaggedDays", "Moments", "Series", "build_report",
-         "estimate_moments", "flag_events", "load_series", "report_as_dict", "report_json",
-         "sigma_scores"),
+        ("AuditReport", "FlaggedDays", "Moments", "Series", "build_report", "estimate_moments",
+         "flag_events", "load_series", "report_as_dict", "report_json", "sigma_scores"),
         "audit",
     ),
 }

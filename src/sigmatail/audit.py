@@ -1,9 +1,9 @@
 """Sigma-event auditing of daily P&L / return series.
 
 Pipeline: load a date,value CSV, estimate per-day moments (full-sample or
-strictly trailing rolling window), sigma-score each day, flag threshold
-exceedances, and quantify how improbable the observed count is under the
-Gaussian model via the log-domain binomial tail of ``binomial``.
+strictly trailing rolling window), sigma-score and flag each day, and take
+the log-domain binomial tail (``binomial``) of the flagged count over the
+n_scored days at the Gaussian model's p_model, both kept in the report.
 """
 
 import json
@@ -407,29 +407,17 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
     return Moments(means, stds, scored, sample_mean, sample_stdev)
 
 
-FlaggedDay = namedtuple("FlaggedDay", "date sigma_score")
-
-
 @dataclass(frozen=True, eq=False)
 class FlaggedDays:
     """The flagged days of an audit as two read-only columns of equal
     length: ``dates`` (datetime64[D]) and ``scores`` (float64, rounded to 4
-    decimals).  Indexing with an int and iterating yield FlaggedDay items,
-    which are made only then; a slice is again FlaggedDays."""
+    decimals)."""
 
     dates: np.ndarray
     scores: np.ndarray
 
     def __len__(self) -> int:
         return self.scores.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FlaggedDays(self.dates[i], self.scores[i])
-        return FlaggedDay(self.dates[i].item(), float(self.scores[i]))
-
-    def __iter__(self):
-        return map(FlaggedDay, self.dates.tolist(), self.scores.tolist())
 
 
 def sigma_scores(series: Series, moments: Moments) -> np.ndarray:
@@ -495,9 +483,10 @@ def _round4(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# window is None for full-sample moments; flagged is a FlaggedDays
-AuditReport = namedtuple("AuditReport", "n_days mean stdev window threshold_k side flagged "
-                         "expected_count observed_count p_value_at_least_observed")
+# window is None for full-sample moments; flagged is a FlaggedDays; the p-value
+# is over n_scored days at p_model, the tail at threshold_k (twice it for "both")
+AuditReport = namedtuple("AuditReport", "n_days n_scored mean stdev window threshold_k side "
+                         "flagged p_model expected_count observed_count p_value_at_least_observed")
 
 
 def build_report(series: Series, *, threshold_k: float, window: int | None = None,
@@ -520,12 +509,14 @@ def build_report(series: Series, *, threshold_k: float, window: int | None = Non
 
     return AuditReport(
         n_days=len(series),
+        n_scored=n_scored,
         mean=moments.sample_mean,
         stdev=moments.sample_stdev,
         window=window,
         threshold_k=float(threshold_k),
         side=side,
         flagged=flagged,
+        p_model=p_model,
         expected_count=expected,
         observed_count=observed,
         p_value_at_least_observed=p_value,
@@ -533,25 +524,28 @@ def build_report(series: Series, *, threshold_k: float, window: int | None = Non
 
 
 def report_as_dict(report: AuditReport) -> dict:
-    """Stable machine-readable form; field names match AuditReport, and the
-    p-value travels as a mantissa/exponent10 pair so tiny values survive.
-    It is read back from report_json, so the two cannot disagree."""
+    """Stable machine-readable form, read back from report_json so the two
+    cannot disagree; field names match AuditReport, and p_model and the
+    p-value travel as mantissa/exponent10 pairs so tiny values survive."""
     return json.loads(report_json(report))
 
 
 def report_json(report: AuditReport) -> str:
-    """The report as one line of JSON with sorted keys; a mean or stdev that
-    is not finite is null.  Each flagged day is ``{"date": "YYYY-MM-DD",
-    "sigma_score": score}``, the score in json's float text.  The flagged
-    days are written as one matrix of bytes, a row per day, and decoded once."""
+    """The report as one line of JSON with sorted keys; a mean, stdev or
+    sigma score that is not finite is null, so the text is always JSON.
+    Each flagged day is ``{"date": "YYYY-MM-DD", "sigma_score": score}``,
+    the score in json's float text.  The flagged days are written as one
+    matrix of bytes, a row per day, and decoded once."""
     text = json.dumps({
         "n_days": report.n_days,
-        "mean": report.mean if math.isfinite(report.mean) else None,
-        "stdev": report.stdev if math.isfinite(report.stdev) else None,
+        "n_scored": report.n_scored,
+        "mean": _finite_or_null(report.mean),
+        "stdev": _finite_or_null(report.stdev),
         "window": report.window,
         "threshold_k": report.threshold_k,
         "side": report.side,
         "flagged": [],
+        "p_model": sci_json(report.p_model),
         "expected_count": report.expected_count,
         "observed_count": report.observed_count,
         "p_value_at_least_observed": sci_json(report.p_value_at_least_observed),
@@ -559,6 +553,10 @@ def report_json(report: AuditReport) -> str:
     if not len(report.flagged):
         return text
     return text.replace('"flagged": []', f'"flagged": [{_flagged_text(report.flagged)}]', 1)
+
+
+def _finite_or_null(x: float):
+    return x if math.isfinite(x) else None
 
 
 # "0000".."9999" as little-endian words
@@ -584,15 +582,15 @@ def _flagged_text(flagged: FlaggedDays) -> str:
     fewer rounds to the same double as n / 10**4, and at 16 digits (|v| from
     1e11) decimals of 4 places lie 1e-4 apart, more than the spacing of
     doubles below 2**39, so no two of them round to one double.  Other
-    scores (not finite, larger, or not rounded to 4 places) keep json's
-    text, one by one.  The score field starts as NUL bytes, the zeros and
-    the sign that the text leaves out are set to NUL, and one mask drops
-    every NUL: no other byte of the text is 0."""
+    scores (larger, or not rounded to 4 places) keep json's text one by
+    one, null where not finite.  The score field starts as NUL bytes, the
+    zeros and the sign that the text leaves out are set to NUL, and one mask
+    drops every NUL: no other byte of the text is 0."""
     scores = flagged.scores
     with np.errstate(invalid="ignore", over="ignore"):
         n = np.rint(np.abs(scores) * 1e4)
         slow = np.flatnonzero(~((n < 2.0 ** 52) & (n / 1e4 == np.abs(scores))))
-    texts = [json.dumps(v).encode() for v in scores[slow].tolist()]
+    texts = [json.dumps(_finite_or_null(v)).encode() for v in scores[slow].tolist()]
     width = max([_SCORE_WIDTH, *map(len, texts)])
     n[slow] = 0.0
     whole, fraction = np.divmod(n.astype(np.int64), 10_000)

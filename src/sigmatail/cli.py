@@ -202,26 +202,26 @@ def _cmd_audit(args, out, err):
     if args.format == "json":
         print(audit_mod.report_json(report), file=out)
         return
-    r = gauss.gauss_tail(report.threshold_k, days_per_year=args.dpy)
     print(f"source: {series.source_label}", file=out)
     print(f"n_days: {report.n_days}", file=out)
+    print(f"n_scored: {report.n_scored}", file=out)
     print(f"window: {report.window if report.window is not None else 'full'}", file=out)
     print(f"mean: {report.mean!r}", file=out)
     print(f"stdev: {report.stdev!r}", file=out)
     print(f"threshold_k: {_fmt_k(report.threshold_k)}", file=out)
     print(f"side: {report.side}", file=out)
-    print(f"model_tail_percent: {format_sci(r.percent, d)} %", file=out)
-    print(f"model_occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
+    p = report.p_model  # for side "both", twice the tail at k
+    print(f"model_tail_percent: {format_sci(p * gauss._HUNDRED, d)} %", file=out)
+    print(f"model_occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}", file=out)
     print(f"observed_count: {report.observed_count}", file=out)
     print(f"expected_count: {report.expected_count:.6g}", file=out)
     print(
         f"p_value_at_least_observed: {format_sci(report.p_value_at_least_observed, d)}",
         file=out,
     )
-    shown = report.flagged[:20]
-    print(f"flagged ({len(shown)} of {len(report.flagged)} shown):", file=out)
-    for f in shown:
-        print(f"  {f.date.isoformat()}  {f.sigma_score:+.4f}", file=out)
+    print(f"flagged ({min(len(report.flagged), 20)} of {len(report.flagged)} shown):", file=out)
+    for day, score in zip(report.flagged.dates[:20].tolist(), report.flagged.scores[:20].tolist()):
+        print(f"  {day.isoformat()}  {score:+.4f}", file=out)
     print(
         "note: expected counts and p-values assume independent days "
         "(no volatility clustering)",

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from sigmatail.audit import Series
+from sigmatail.studentt import REL_TOL
 
 
 def tail_log10_oracle(k, dps=50):
@@ -91,9 +92,9 @@ def assert_ln_close(got_ln, true_ln, what="", rel=1e-9, ln_rel=1e-13):
 
 
 def assert_t_tail_close(got_ln, true_ln, what=""):
-    """The bounds student_t_tail states: 3e-12 relative on q, and beyond
+    """The bounds student_t_tail states: REL_TOL relative on q, and beyond
     1e-3000 1e-15 relative on its logarithm."""
-    assert_ln_close(got_ln, true_ln, what, rel=3e-12, ln_rel=1e-15)
+    assert_ln_close(got_ln, true_ln, what, rel=REL_TOL, ln_rel=1e-15)
 
 
 def make_series(values, start=date(1985, 1, 1), label="synthetic") -> Series:

@@ -19,7 +19,7 @@ from mpmath import mp
 from conftest import assert_ln_close, binom_tail_ln_oracle, binom_tail_oracle, make_series
 from sigmatail import _kernels, audit, cli, gauss, magnitude
 from sigmatail.audit import (
-    AuditReport, FlaggedDay, FlaggedDays, Moments, Series, build_report, estimate_moments,
+    AuditReport, FlaggedDays, Moments, Series, build_report, estimate_moments,
     flag_events, load_series, report_as_dict, report_json, sigma_scores,
 )
 from sigmatail.binomial import REL_TOL, binomial_tail_at_least
@@ -963,9 +963,9 @@ class TestScaleInvariance:
         if args:
             want, got = map(json.loads, runs)
         else:  # the summary lines after "source:", then the flagged days
-            want, got = (dict(line.split(": ", 1) for line in run.splitlines()[1:12])
+            want, got = (dict(line.split(": ", 1) for line in run.splitlines()[1:13])
                          for run in runs)
-            assert runs[0].splitlines()[12:] == runs[1].splitlines()[12:]
+            assert runs[0].splitlines()[13:] == runs[1].splitlines()[13:]
         for key in ("mean", "stdev"):
             assert float(got.pop(key)) == pytest.approx(float(want.pop(key)) * factor, rel=1e-12)
         assert got == want
@@ -985,7 +985,9 @@ class TestScaleInvariance:
         mean = float(estimate_moments(scaled, window).mean[280])
         assert math.isinf(float(scaled.values[280]) - mean)
         assert np.array_equal(got, want, equal_nan=True)
-        assert list(got_days) == list(want_days) and got_days.dates[-1] == series.dates[280]
+        assert got_days.dates.tolist() == want_days.dates.tolist()
+        assert got_days.scores.tolist() == want_days.scores.tolist()
+        assert got_days.dates[-1] == series.dates[280]
 
     @pytest.mark.parametrize(("args", "want"), [
         ([], "  2000-10-07  -17.2182\n"),
@@ -1017,7 +1019,7 @@ class TestFlagEvents:
     def test_threshold_above_max_empty(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
-        assert list(flag_events(s, m, 30.0, "loss")) == []
+        assert len(flag_events(s, m, 30.0, "loss")) == 0
 
     def test_injected_deep_loss_flagged_despite_contamination(self, standard_normal_10k):
         vals = standard_normal_10k.copy()
@@ -1025,24 +1027,24 @@ class TestFlagEvents:
         s = make_series(vals)
         m = estimate_moments(s)
         flagged = flag_events(s, m, 20.0, "loss")
-        assert [f.date for f in flagged] == [s.dates[5000].tolist()]
+        assert flagged.dates.tolist() == [s.dates[5000].tolist()]
         # estimator contamination shrinks the score below the raw -25
-        assert -25.0 < flagged[0].sigma_score <= -20.0
+        assert -25.0 < flagged.scores[0] <= -20.0
 
     def test_loss_side_ignores_gains(self):
         vals = np.concatenate([np.zeros(15), np.ones(15), [8.0], [-8.0]])
         s = make_series(vals)
         m = estimate_moments(s)
         flagged = flag_events(s, m, 3.0, "loss")
-        assert len(flagged) == 1 and flagged[0].sigma_score < 0
+        assert len(flagged) == 1 and flagged.scores[0] < 0
         assert len(flag_events(s, m, 3.0, "both")) == 2
 
     def test_scores_rounded_to_4_decimals(self, standard_normal_10k):
         s = make_series(standard_normal_10k)
         m = estimate_moments(s)
         flagged = flag_events(s, m, 2.0, "loss")
-        for f in flagged:
-            assert f.sigma_score == round(f.sigma_score, 4)
+        for v in flagged.scores.tolist():
+            assert v == round(v, 4)
 
     def test_validation(self, standard_normal_10k):
         s = make_series(standard_normal_10k[:100])
@@ -1073,13 +1075,12 @@ class TestFlagEvents:
         assert flagged.dates.dtype == np.dtype("datetime64[D]")
         assert flagged.scores.dtype == np.float64
         assert not flagged.dates.flags.writeable and not flagged.scores.flags.writeable
-        items = list(flagged)
-        assert len(items) == len(flagged) > 0
-        assert items[0] == flagged[0] and items[-1] == flagged[-1]
-        assert isinstance(flagged[0], FlaggedDay)
-        assert isinstance(flagged[0].date, date) and type(flagged[0].sigma_score) is float
-        head = flagged[:20]
-        assert isinstance(head, FlaggedDays) and list(head) == items[:20]
+        assert len(flagged) == flagged.dates.size == flagged.scores.size > 0
+        # the days are read from the columns: there is no item view
+        with pytest.raises(TypeError):
+            flagged[0]
+        with pytest.raises(TypeError):
+            iter(flagged)
 
 
 class TestBinomialTail:
@@ -1218,6 +1219,20 @@ class TestBuildReport:
         assert report.expected_count == 0.0
         assert report.p_value_at_least_observed == ONE
 
+    @pytest.mark.parametrize("window", [None, 250], ids=["full", "rolling"])
+    @pytest.mark.parametrize("side", ["loss", "both"])
+    def test_report_reproduces_itself(self, standard_normal_10k, window, side):
+        """The p-value and the expected count follow from the report's own
+        n_scored and p_model."""
+        r = build_report(make_series(standard_normal_10k[:2000]), threshold_k=2.0,
+                         window=window, side=side)
+        assert r.n_scored == 2000 - (window or 0)
+        tail = gauss.gauss_tail(2.0).probability
+        assert r.p_model == (tail * from_real(2.0) if side == "both" else tail) < ONE
+        assert r.p_value_at_least_observed == binomial_tail_at_least(
+            r.n_scored, r.observed_count, r.p_model)
+        assert r.expected_count == r.n_scored * 10.0 ** r.p_model.log10_value
+
     def test_both_sided_model_rounding_to_one(self, standard_normal_10k):
         # 2 P(Z >= 1e-20) rounds to 1, so every scored day is surely flagged
         report = build_report(make_series(standard_normal_10k[:500]), threshold_k=1e-20,
@@ -1230,13 +1245,10 @@ class TestReportDict:
     def test_exact_field_names(self, standard_normal_10k):
         report = build_report(make_series(standard_normal_10k[:1000]), threshold_k=2.0)
         d = report_as_dict(report)
-        assert set(d) == {
-            "n_days", "mean", "stdev", "window", "threshold_k", "side",
-            "flagged", "expected_count", "observed_count",
-            "p_value_at_least_observed",
-        }
+        assert set(d) == set(AuditReport._fields)
         assert d["window"] is None
         assert d["p_value_at_least_observed"].keys() == {"mantissa", "exponent10"}
+        assert d["p_model"].keys() == {"mantissa", "exponent10"}
         first = d["flagged"][0]
         assert set(first) == {"date", "sigma_score"}
         date.fromisoformat(first["date"])
@@ -1290,16 +1302,27 @@ def _reference_json(series: Series, window, threshold_k: float, side: str) -> st
     report = build_report(series, threshold_k=threshold_k, window=window, side=side)
     scores = sigma_scores(series, estimate_moments(series, window))
     hit = (scores <= -threshold_k) if side == "loss" else (np.abs(scores) >= threshold_k)
-    flagged = [{"date": d.isoformat(), "sigma_score": round(v, 4)}
+    flagged = [{"date": d.isoformat(), "sigma_score": _json_score(round(v, 4))}
                for d, v in zip(series.dates[hit].tolist(), scores[hit].tolist())]
     mant, exp10 = report.p_value_at_least_observed.sci_parts()
+    model_mant, model_exp10 = report.p_model.sci_parts()
     return json.dumps({
-        "n_days": report.n_days, "mean": report.mean, "stdev": report.stdev,
+        "n_days": report.n_days, "n_scored": int(np.count_nonzero(~np.isnan(scores))),
+        "mean": _json_score(report.mean), "stdev": _json_score(report.stdev),
         "window": report.window, "threshold_k": report.threshold_k, "side": report.side,
-        "flagged": flagged, "expected_count": report.expected_count,
-        "observed_count": report.observed_count,
+        "flagged": flagged, "p_model": {"mantissa": model_mant, "exponent10": model_exp10},
+        "expected_count": report.expected_count, "observed_count": report.observed_count,
         "p_value_at_least_observed": {"mantissa": mant, "exponent10": exp10},
     }, sort_keys=True)
+
+
+def _json_score(v: float):
+    """A sigma score as report_json writes it: null where not finite."""
+    return v if math.isfinite(v) else None
+
+
+def _refuse(constant):
+    raise ValueError(f"not JSON: {constant}")
 
 
 class TestReportJson:
@@ -1312,7 +1335,7 @@ class TestReportJson:
             expected = _reference_json(series, window, threshold_k, side)
         assert text == expected
         assert json.dumps(report_as_dict(report), sort_keys=True) == text
-        return json.loads(text)["flagged"]
+        return json.loads(text, parse_constant=_refuse)["flagged"]
 
     def test_many_days(self, standard_normal_10k):
         flagged = self._check(make_series(standard_normal_10k, start=date(1899, 12, 1)),
@@ -1326,7 +1349,17 @@ class TestReportJson:
         # the window's stdev is ~5e-161, so 1e150 scores beyond the float range
         vals = np.array([1e-160, 0.0] * 10 + [1e150] + [0.0] * 30)
         flagged = self._check(make_series(vals), 20, 2.0, "both")
-        assert flagged == [{"date": "1985-01-21", "sigma_score": math.inf}]
+        assert flagged == [{"date": "1985-01-21", "sigma_score": None}]
+
+    def test_score_past_float_range_is_null(self):
+        # a stdev of ~1e-300 puts a day at -1e10 beyond the float range: the
+        # day stays flagged and counted, and its score is written as null
+        vals = np.random.default_rng(1).standard_normal(300) * 1e-300
+        vals[280] = -1e10
+        series = make_series(vals, start=date(2000, 1, 1))
+        flagged = self._check(series, 50, 2.0, "loss")
+        assert {"date": "2000-10-07", "sigma_score": None} in flagged
+        assert build_report(series, threshold_k=2.0, window=50).observed_count == len(flagged) == 7
 
     def test_negative_zero_score(self):
         vals = np.array([1.0, -1.0] * 10 + [-1e-7] + [0.0] * 30)
@@ -1338,6 +1371,20 @@ _SCORE_EDGES = [0.0, -0.0, 1e-4, -1e-4, 0.5, 1.0, -1.0, 10.25, -100.001, 1234.5,
                  123456789012.0, 450359962737.0496, -450359962737.0496, 450359962737.0497,
                  2 ** 52 / 1e4, math.nextafter(2 ** 52 / 1e4, 0.0), 999999999999.9999,
                  math.inf, -math.inf, 1.7e308, -1.7e308, 2.00005, -2.00005, 0.00005]
+
+
+def _flagged_json(dates: list, scores: list) -> str:
+    """json.dumps of a report built around these flagged days, one dict per
+    day, with every other field fixed."""
+    return json.dumps({
+        "n_days": len(scores), "n_scored": len(scores), "mean": 0.0, "stdev": 1.0,
+        "window": None, "threshold_k": 2.0, "side": "both",
+        "flagged": [{"date": d.isoformat(), "sigma_score": _json_score(v)}
+                    for d, v in zip(dates, scores)],
+        "p_model": {"mantissa": 1.0, "exponent10": 0},
+        "expected_count": 1.0, "observed_count": len(scores),
+        "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
+    }, sort_keys=True)
 
 
 class TestFlaggedText:
@@ -1365,19 +1412,14 @@ class TestFlaggedText:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             scores = audit._round4(np.array([v for _, v in days], np.float64))
-            report = AuditReport(n_days=len(days), mean=0.0, stdev=1.0, window=None,
-                                 threshold_k=2.0, side="both",
-                                 flagged=FlaggedDays(dates, scores), expected_count=1.0,
-                                 observed_count=len(days), p_value_at_least_observed=ONE)
+            report = AuditReport(n_days=len(days), n_scored=len(days), mean=0.0, stdev=1.0,
+                                 window=None, threshold_k=2.0, side="both",
+                                 flagged=FlaggedDays(dates, scores), p_model=ONE,
+                                 expected_count=1.0, observed_count=len(days),
+                                 p_value_at_least_observed=ONE)
             text = report_json(report)
-        assert text == json.dumps({
-            "n_days": len(days), "mean": 0.0, "stdev": 1.0, "window": None,
-            "threshold_k": 2.0, "side": "both",
-            "flagged": [{"date": d.isoformat(), "sigma_score": v}
-                        for d, v in zip(dates.tolist(), scores.tolist())],
-            "expected_count": 1.0, "observed_count": len(days),
-            "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
-        }, sort_keys=True)
+        assert text == _flagged_json(dates.tolist(), scores.tolist())
+        json.loads(text, parse_constant=_refuse)
 
     _UNROUNDED = [0.12345, math.pi, 0.30000000000000004, math.nan, -math.nan,
                   5e-324, -0.0, 1e16, math.inf, -math.inf]
@@ -1387,21 +1429,17 @@ class TestFlaggedText:
     def test_unrounded_scores_keep_json_text(self, scores):
         """FlaggedDays built directly, as a library caller may, with scores
         that _round4 never touched: those not rounded to 4 places keep
-        json's own text, beside rounded ones in the same matrix."""
+        json's own text, null where not finite, beside rounded ones in the
+        same matrix."""
         dates = np.datetime64("1999-12-30") + np.arange(len(scores))
         flagged = FlaggedDays(dates, np.array(scores, np.float64))
-        report = AuditReport(n_days=len(scores), mean=0.0, stdev=1.0, window=None,
-                             threshold_k=2.0, side="both", flagged=flagged,
-                             expected_count=1.0, observed_count=len(scores),
+        report = AuditReport(n_days=len(scores), n_scored=len(scores), mean=0.0, stdev=1.0,
+                             window=None, threshold_k=2.0, side="both", flagged=flagged,
+                             p_model=ONE, expected_count=1.0, observed_count=len(scores),
                              p_value_at_least_observed=ONE)
-        assert report_json(report) == json.dumps({
-            "n_days": len(scores), "mean": 0.0, "stdev": 1.0, "window": None,
-            "threshold_k": 2.0, "side": "both",
-            "flagged": [{"date": d.isoformat(), "sigma_score": v}
-                        for d, v in zip(dates.tolist(), scores)],
-            "expected_count": 1.0, "observed_count": len(scores),
-            "p_value_at_least_observed": {"mantissa": 1.0, "exponent10": 0},
-        }, sort_keys=True)
+        text = report_json(report)
+        assert text == _flagged_json(dates.tolist(), scores)
+        json.loads(text, parse_constant=_refuse)
 
 
 def test_rolling_json_audit_makes_no_object_per_day(write_series_csv):

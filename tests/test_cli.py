@@ -590,10 +590,12 @@ class TestAudit:
     # sha256 of stdout for the golden CSV, read by its relative name
     @pytest.mark.parametrize("argv, sha256", [
         (["--window", "250", "--threshold", "2", "--side", "both", "--format", "json"],
-         "4b77cb293589505d459b44ad01cba708bc06b2f5421dcdb15a15b5de19ff18f7"),
+         "617e5fa2d8095097b518bedcb092d3772acf757976f4325cf6ca78145249c769"),
         (["--threshold", "4", "--side", "loss"],
-         "3d7a17cf8bc3aa3dbfe690b87240749b0d904b3fdb235f9d0106b61f263b571f"),
-    ], ids=["rolling-json", "full-text"])
+         "082c6d367f351544aae5fc2a554440436bdfcfc8909d9929afb9c6ab797ed0e9"),
+        (["--window", "250", "--threshold", "3", "--side", "both"],
+         "9c2f5bfd45a23e4b9ca9bd89331275d92cba97d52d40cb20a5e83e58a094e1c2"),
+    ], ids=["rolling-json", "full-text", "rolling-both-text"])
     def test_stdout_golden(self, tmp_path, monkeypatch, argv, sha256):
         monkeypatch.chdir(tmp_path)
         _write_golden_csv(tmp_path / "golden.csv")
@@ -611,11 +613,14 @@ class TestAudit:
         code, out, err = run_cli(["audit", str(path), "--window", "20", "--format", fmt])
         assert code == 0
         assert err == "warning: 10 day(s) with zero stdev left unscored\n"
+        # scored: 51 days, less 20 with no history and 10 with zero stdev
         if fmt == "text":
-            assert out.startswith(f"source: {path}\nn_days: 51\n") and "warning" not in out
+            assert out.startswith(f"source: {path}\nn_days: 51\nn_scored: 21\n")
+            assert "warning" not in out
             return
         with pytest.warns(UserWarning, match="zero stdev"):
             report = audit.build_report(audit.load_series(path), threshold_k=2.0, window=20)
+        assert report.n_scored == 21
         assert out == audit.report_json(report) + "\n"
 
 
