@@ -19,8 +19,7 @@ _EXPORTS = {
         "gauss",
     ),
     **dict.fromkeys(
-        ("Magnitude", "ONE", "ZERO", "format_sci", "from_real", "from_sci", "parse",
-         "pow_int"),
+        ("Magnitude", "ONE", "ZERO", "format_sci", "from_real", "parse", "pow_int"),
         "magnitude",
     ),
     **dict.fromkeys(

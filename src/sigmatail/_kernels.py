@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-
 
 def kernel_choice() -> str:
     """Name of the rolling-moment kernel."""
@@ -43,19 +41,16 @@ def _window_sums(blocks: np.ndarray, out: np.ndarray, prefix: np.ndarray) -> Non
     out[:, 1:] += prefix
 
 
-def rolling_moments(values, window: int):
+def rolling_moments(x: np.ndarray, w: int):
     """Trailing-window mean and Bessel-corrected stdev per position.
 
-    Position t describes values[t-window:t]; the first ``window`` entries
-    are NaN.  The kernel sums squares of the values less the mean of the
-    first window: that centre conditions the sums of data with a large
-    offset, and no past window depends on a later value through it.  It is
-    taken, as every sum is, on the values scaled by ``square_scale(values,
-    window)``, so tiny or huge values keep their moments."""
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    w = int(window)
-    if w < 2:
-        raise DomainError("window must be at least 2")
+    Position t describes x[t-w:t]; the first ``w`` entries are NaN.  The
+    kernel sums squares of the values less the mean of the first window:
+    that centre conditions the sums of data with a large offset, and no past
+    window depends on a later value through it.  It is taken, as every sum
+    is, on the values scaled by ``square_scale(x, w)``, so tiny or huge
+    values keep their moments.  Its one caller, estimate_moments, checks w
+    and passes a Series column: contiguous float64."""
     n = x.size
     if n <= w:
         return np.full(n, np.nan), np.full(n, np.nan)

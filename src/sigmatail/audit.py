@@ -106,17 +106,8 @@ class Series:
     source_label: str = ""
 
     def __post_init__(self):
-        dates = np.array(self.dates)
-        if dates.dtype != np.dtype("datetime64[D]"):
-            raise DomainError(f"dates must be datetime64[D], got {dates.dtype}")
-        values = np.asarray(self.values)
-        if values.dtype.kind not in "iuf":
-            raise DomainError(f"values must be real numbers, got {values.dtype}")
-        values = values.astype(np.float64)
-        if dates.ndim != 1 or dates.shape != values.shape:
-            raise DomainError("dates and values must be 1-D and of equal length")
+        dates, values, in_order = _columns(self, "values")
         finite = np.isfinite(values)
-        in_order = (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)  # also False for NaT
         in_order[1:] &= dates[1:] > dates[:-1]
         bad = np.flatnonzero(~(finite & in_order))
         if bad.size:
@@ -124,11 +115,28 @@ class Series:
             what = ("non-finite value" if not finite[i]
                     else f"dates must be strictly increasing, within {_FIRST_DAY}..{_LAST_DAY}")
             raise DomainError(f"observation {i} ({dates[i]}): {what}")
-        dates.flags.writeable = values.flags.writeable = False
-        self.__dict__.update(dates=dates, values=values)
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def _columns(record, name: str):
+    """Puts read-only copies of the dates and the column ``name`` in the
+    record, once the rules Series and FlaggedDays share hold: datetime64[D]
+    dates, real numbers (kept as float64), 1-D columns of equal length.
+    Returns both, and a mask of the dates in range (False for NaT)."""
+    dates = np.array(record.dates)
+    if dates.dtype != np.dtype("datetime64[D]"):
+        raise DomainError(f"dates must be datetime64[D], got {dates.dtype}")
+    values = np.asarray(getattr(record, name))
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real numbers, got {values.dtype}")
+    values = values.astype(np.float64)
+    if dates.ndim != 1 or dates.shape != values.shape:
+        raise DomainError(f"dates and {name} must be 1-D and of equal length")
+    dates.flags.writeable = values.flags.writeable = False
+    record.__dict__.update({"dates": dates, name: values})
+    return dates, values, (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)
 
 
 def load_series(path) -> Series:
@@ -410,11 +418,19 @@ def estimate_moments(series: Series, window: int | None = None) -> Moments:
 @dataclass(frozen=True, eq=False)
 class FlaggedDays:
     """The flagged days of an audit as two read-only columns of equal
-    length: ``dates`` (datetime64[D]) and ``scores`` (float64, rounded to 4
-    decimals)."""
+    length: ``dates`` (datetime64[D], in years 1-9999) and ``scores``
+    (float64, rounded to 4 decimals by flag_events), copied and checked as
+    a Series is, less order and finiteness."""
 
     dates: np.ndarray
     scores: np.ndarray
+
+    def __post_init__(self):
+        dates, _, in_range = _columns(self, "scores")
+        if not in_range.all():
+            i = int(np.argmin(in_range))
+            raise DomainError(f"flagged day {i} ({dates[i]}): dates must lie within "
+                              f"{_FIRST_DAY}..{_LAST_DAY}")
 
     def __len__(self) -> int:
         return self.scores.size
@@ -458,10 +474,7 @@ def flag_events(series: Series, moments: Moments, threshold_k: float,
     if side == "both":
         hit |= scores >= k
     i = np.flatnonzero(hit)
-    dates, rounded = series.dates[i], _round4(scores[i])
-    dates.flags.writeable = False
-    rounded.flags.writeable = False
-    return FlaggedDays(dates, rounded)
+    return FlaggedDays(series.dates[i], _round4(scores[i]))
 
 
 def _round4(x: np.ndarray) -> np.ndarray:
@@ -531,23 +544,17 @@ def report_as_dict(report: AuditReport) -> dict:
 
 
 def report_json(report: AuditReport) -> str:
-    """The report as one line of JSON with sorted keys; a mean, stdev or
-    sigma score that is not finite is null, so the text is always JSON.
-    Each flagged day is ``{"date": "YYYY-MM-DD", "sigma_score": score}``,
-    the score in json's float text.  The flagged days are written as one
+    """The report as one line of JSON, a key per AuditReport field, sorted;
+    a mean, stdev or sigma score that is not finite is null, so the text is
+    always JSON.  Each flagged day is ``{"date": "YYYY-MM-DD", "sigma_score":
+    score}``, the score in json's float text, and the days are written as one
     matrix of bytes, a row per day, and decoded once."""
     text = json.dumps({
-        "n_days": report.n_days,
-        "n_scored": report.n_scored,
+        **report._asdict(),
         "mean": _finite_or_null(report.mean),
         "stdev": _finite_or_null(report.stdev),
-        "window": report.window,
-        "threshold_k": report.threshold_k,
-        "side": report.side,
         "flagged": [],
         "p_model": sci_json(report.p_model),
-        "expected_count": report.expected_count,
-        "observed_count": report.observed_count,
         "p_value_at_least_observed": sci_json(report.p_value_at_least_observed),
     }, sort_keys=True)
     if not len(report.flagged):

@@ -68,44 +68,23 @@ def _cmd_prob(args, out, err):
 
 def _cmd_table(args, out, err):
     results = [gauss.gauss_tail(k, days_per_year=args.dpy) for k in _parse_ks(args.ks)]
-    d = args.digits
-    header = ("k", "percent", "occurrence_days", "occurrence_years")
+    header = ("k", "percent", "occurrence_days", "occurrence_years")  # TailResult attributes
+    cells = [[getattr(r, name) for name in header] for r in results]
     if args.format == "json":
         import json
 
-        payload = {
-            "days_per_year": args.dpy,
-            "rows": [
-                {
-                    "k": r.k,
-                    "percent": sci_json(r.percent),
-                    "occurrence_days": sci_json(r.occurrence_days),
-                    "occurrence_years": sci_json(r.occurrence_years),
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
+        rows = [dict(zip(header, (k, *map(sci_json, vs)))) for k, *vs in cells]
+        print(json.dumps({"days_per_year": args.dpy, "rows": rows}, sort_keys=True), file=out)
         return
-    text_rows = [
-        (_fmt_k(r.k), format_sci(r.percent, d), format_sci(r.occurrence_days, d),
-         format_sci(r.occurrence_years, d))
-        for r in results
-    ]
+    rows = [header, *([_fmt_k(k), *(format_sci(v, args.digits) for v in vs)] for k, *vs in cells)]
     if args.format == "csv":
-        print(",".join(header), file=out)
-        for row in text_rows:
-            print(",".join(row), file=out)
+        lines = [",".join(row) for row in rows]
     elif args.format == "md":
-        print("| " + " | ".join(header) + " |", file=out)
-        print("|" + "|".join(" --- " for _ in header) + "|", file=out)
-        for row in text_rows:
-            print("| " + " | ".join(row) + " |", file=out)
+        lines = [f"| {' | '.join(row)} |" for row in (header, ["---"] * len(header), *rows[1:])]
     else:
-        widths = [max(len(h), *(len(r[i]) for r in text_rows)) for i, h in enumerate(header)]
-        print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(), file=out)
-        for row in text_rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip(), file=out)
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    print(*lines, sep="\n", file=out)
 
 
 def _cmd_occurrence(args, out, err):
@@ -182,7 +161,8 @@ def _cmd_ttail(args, out, err):
     d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
-    gap = scales.order_gap(tail, gauss.gauss_tail(args.k).probability) if args.k >= 8.0 else None
+    gap = (scales.order_gap(tail, gauss.gauss_tail(args.k).probability)
+           if args.k >= studentt.GAP_MIN_K else None)
     print(f"t_tail: {format_sci(tail, d)}", file=out)
     if gap is not None:
         print(f"gap_vs_gaussian: {gap}", file=out)

@@ -44,6 +44,12 @@ ASYMPTOTIC_MIN_K = 8.0
 # Series terms are dropped once below this relative size.
 REL_TERM_FLOOR = 1e-18
 
+# the stated bounds against 50-digit mpmath, relative unless named otherwise
+EXACT_REL_TOL = 1e-12
+ASYMPTOTIC_REL_TOL = 1e-9  # up to k ~ 3000; past it a double log10 is coarser
+OVERLAP_REL_TOL = 1e-9  # between the two paths, where both run
+INVERSE_TOL = (1e-9, 1e-15)  # sigma_for_period: |k - root| <= 1e-9 + 1e-15 * k
+
 # sigma_for_period's Newton steps never exceed 6 tail evaluations
 _MAX_NEWTON_STEPS = 8
 
@@ -198,14 +204,14 @@ def gauss_tail(k: float, *, mode: str = "auto",
                days_per_year: int = DEFAULT_DAYS_PER_YEAR) -> TailResult:
     """Upper-tail probability of the standard normal at k, 0 <= k <= 1e6.
 
-    ``exact`` covers [0, 9.5] with relative error <= 1e-12 against a
-    high-precision reference, and is never computed as 1 - cdf(k): that
-    subtraction loses every significant digit near k = 8.  ``asymptotic``
-    and ``paper_appendix`` cover [8, 1e6]; their correction series is
-    summed in ordinary floats (it stays within (0.9, 1]) and everything
-    exponent-sized lives in the log10 domain, so the result survives k = 25
-    and far beyond.  ``auto`` takes ``exact`` for k <= 9 and ``asymptotic``
-    beyond; the two agree to <= 1e-9 relative on the overlap."""
+    ``exact`` covers [0, 9.5] within EXACT_REL_TOL, and is never computed as
+    1 - cdf(k): that subtraction loses every significant digit near k = 8.
+    ``asymptotic`` and ``paper_appendix`` cover [8, 1e6]; their correction
+    series is summed in ordinary floats (it stays within (0.9, 1]) and
+    everything exponent-sized lives in the log10 domain, so the result
+    survives k = 25 and far beyond; ``asymptotic`` is within
+    ASYMPTOTIC_REL_TOL.  ``auto`` takes ``exact`` for k <= 9 and
+    ``asymptotic`` beyond; the two agree within OVERLAP_REL_TOL."""
     k = _validate_k(k)
     if k > MAX_K:
         raise DomainError(f"k = {k:g} exceeds the supported range (k <= {MAX_K:g})")
@@ -259,7 +265,7 @@ def sigma_for_period(years: Magnitude, days_per_year: int = DEFAULT_DAYS_PER_YEA
     """Invert the occurrence mapping: the k whose expected-occurrence period
     equals ``years``.  Newton on log10 p(k), which is concave, so every step
     lands at or above the root and the iterates then fall toward it; the
-    result is within 1e-9 + 1e-15*k of the root.  It takes at most 6 tail
+    result is within INVERSE_TOL of the root.  It takes at most 6 tail
     evaluations for periods below a year, 3 below about 10**15.5 years, 2
     below about 10**5091, and 1 beyond."""
     days_per_year = _validate_dpy(days_per_year)

@@ -30,9 +30,9 @@ def _out_of_range(log10_value: float) -> DomainError:
 class Magnitude:
     """A nonnegative real represented by its base-10 logarithm.
 
-    Use :func:`from_real`, :func:`from_sci` or :func:`parse` to construct
-    instances; ``Magnitude(L)`` itself means "the value whose log10 is L",
-    zero for L = -inf.  Arithmetic is ``*``, ``/`` and :func:`pow_int`; the six
+    Use :func:`from_real` or :func:`parse` to construct instances;
+    ``Magnitude(L)`` itself means "the value whose log10 is L", zero for
+    L = -inf.  Arithmetic is ``*``, ``/`` and :func:`pow_int`; the six
     comparisons order by value, zero below every positive value; ``a > b``
     and ``a >= b`` are Python's reflected ``b < a`` and ``b <= a``.  A float
     operand raises TypeError, except in ``==`` and ``!=``, where it is unequal.
@@ -143,18 +143,6 @@ def from_real(v: float) -> Magnitude:
     if v == 0.0:
         return ZERO
     return Magnitude(math.log10(v))
-
-
-def from_sci(mantissa: float, exponent: int) -> Magnitude:
-    """Magnitude of mantissa * 10**exponent with mantissa in [1, 10)."""
-    mantissa = finite_real(mantissa, "mantissa must be a finite real")
-    if not 1.0 <= mantissa < 10.0:
-        raise DomainError(f"mantissa {mantissa!r} outside [1, 10)")
-    if isinstance(exponent, bool) or not isinstance(exponent, int):
-        raise DomainError("exponent must be an integer")
-    if abs(exponent) > LOG10_CAP:
-        raise DomainError("exponent out of supported range")
-    return Magnitude(math.log10(mantissa) + exponent)
 
 
 def pow_int(a: Magnitude, n: int) -> Magnitude:

@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .magnitude import Magnitude, ONE, _check_magnitude, from_real, from_sci, parse
+from .magnitude import Magnitude, ONE, _check_magnitude, from_real, parse
 
 _KINDS = ("years", "count")
 
@@ -56,7 +56,7 @@ BUILTIN_SCALES: tuple[ReferenceScale, ...] = (
     ReferenceScale("emergence of Homo sapiens", "years", from_real(1e6), from_real(1e6)),
     ReferenceScale("origin of multicellular life", "years", from_real(6e8), from_real(6e8)),
     ReferenceScale("time since the Big Bang", "years", from_real(1.2e10), from_real(1.4e10)),
-    ReferenceScale("particles in the universe", "count", from_sci(1.0, 73), from_sci(1.0, 85)),
+    ReferenceScale("particles in the universe", "count", Magnitude(73.0), Magnitude(85.0)),
     ReferenceScale("single lottery win odds", "count", from_real(4e-7), from_real(4e-7)),
 )
 

@@ -24,6 +24,8 @@ MAX_NU = 1e300
 
 REL_TOL = 3e-12  # student_t_tail's relative bound against 50-digit mpmath
 
+GAP_MIN_K = 8.0  # the extreme regime, where the gap to the Gaussian is the point
+
 # the continued fraction took at most 60 steps over 150,000 random accepted (nu, k)
 _MAX_STEPS = 1000
 
@@ -148,12 +150,9 @@ def student_t_tail(k: float, spec: TDistSpec) -> Magnitude:
 
 
 def gap_vs_gaussian(k: float, spec: TDistSpec) -> int:
-    """Decimal orders by which the t tail exceeds the Gaussian tail at k.
-
-    Restricted to the extreme regime k >= 8 where the comparison is the
-    point of the exercise."""
-    if not (isinstance(k, (int, float)) and k >= 8.0):
-        raise DomainError("gap comparison is defined for k >= 8")
+    """Decimal orders by which the t tail exceeds the Gaussian tail at k >= GAP_MIN_K."""
+    if not (isinstance(k, (int, float)) and k >= GAP_MIN_K):
+        raise DomainError(f"gap comparison is defined for k >= {GAP_MIN_K:g}")
     t_tail = student_t_tail(k, spec)
     g_tail = gauss.gauss_tail(k).probability
     return scales.order_gap(t_tail, g_tail)

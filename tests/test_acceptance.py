@@ -111,9 +111,9 @@ def test_criterion_5a_dual_path_agreement():
         worst = max(worst, abs(10.0 ** (le - la) - 1.0))
     elapsed = time.perf_counter() - start
     _report(
-        f"C5a exact vs asymptotic on k=9.0..9.5: worst {worst:.2e} (<= 1e-9), "
-        f"runtime {elapsed * 1e3:.1f} ms (< 1 s)",
-        worst <= 1e-9 and elapsed < 1.0,
+        f"C5a exact vs asymptotic on k=9.0..9.5: worst {worst:.2e} "
+        f"(<= {gauss.OVERLAP_REL_TOL:g}), runtime {elapsed * 1e3:.1f} ms (< 1 s)",
+        worst <= gauss.OVERLAP_REL_TOL and elapsed < 1.0,
     )
 
 

@@ -787,6 +787,45 @@ class TestSeriesValidation:
             Series(np.array(dates, "datetime64[D]"), np.array(values))
 
 
+class TestFlaggedDaysValidation:
+    """A library caller's columns are checked when FlaggedDays is built, so
+    report_json never meets days it cannot write."""
+
+    @pytest.mark.parametrize("dates, scores, message", [
+        (np.array(["2007-08-09", "2007-08-10"], "datetime64[D]"), [2.5],
+         "^dates and scores must be 1-D and of equal length$"),
+        (np.array([["2007-08-09"]], "datetime64[D]"), [[2.5]],
+         "^dates and scores must be 1-D and of equal length$"),
+        (np.array(["2007-08-09T12:00:00"], "datetime64[s]"), [2.5],
+         r"^dates must be datetime64\[D\], got datetime64\[s\]$"),
+        (np.array(["2007-08-09", "NaT"], "datetime64[D]"), [2.5, -3.0],
+         r"^flagged day 1 \(NaT\): dates must lie within 0001-01-01..9999-12-31$"),
+        (np.array(["-0001-12-31"], "datetime64[D]"), [2.5],
+         r"^flagged day 0 \(-001-12-31\): dates must lie within 0001-01-01..9999-12-31$"),
+        (np.array(["2007-08-09"], "datetime64[D]"), ["2.5"],
+         "^scores must be real numbers, got <U3$"),
+    ], ids=["length mismatch", "2-D", "seconds", "NaT", "before year 1", "str scores"])
+    def test_rejected_when_built(self, dates, scores, message):
+        with pytest.raises(DomainError, match=message):
+            FlaggedDays(dates, scores)
+
+    def test_caller_arrays_are_copied_read_only(self):
+        dates = np.array(["2007-08-09", "2007-08-10"], "datetime64[D]")
+        scores = np.array([2, -3])
+        flagged = FlaggedDays(dates, scores)
+        assert flagged.scores.dtype == np.float64 and flagged.scores.tolist() == [2.0, -3.0]
+        assert not np.shares_memory(flagged.dates, dates)
+        assert not flagged.dates.flags.writeable and not flagged.scores.flags.writeable
+        dates[0] = np.datetime64("2007-08-01")
+        assert flagged.dates.tolist() == [date(2007, 8, 9), date(2007, 8, 10)]
+
+    def test_unordered_and_non_finite_accepted(self):
+        # report_json writes a non-finite score as null; order is flag_events' promise
+        flagged = FlaggedDays(np.array(["2007-08-10", "2007-08-09"], "datetime64[D]"),
+                              [math.nan, -math.inf])
+        assert len(flagged) == 2
+
+
 class TestEstimateMoments:
     def test_full_sample_hand_arithmetic(self):
         # 15 zeros and 15 twos: mean 1, variance 30/29
@@ -901,10 +940,6 @@ class TestKernels:
         for t in range(w, n):
             assert means[t] == pytest.approx(x[t - w:t].mean(), abs=1e-12)
             assert stds[t] == pytest.approx(x[t - w:t].std(ddof=1), abs=1e-12)
-
-    def test_window_below_two_rejected(self):
-        with pytest.raises(DomainError, match="at least 2"):
-            _kernels.rolling_moments(np.ones(5), 1)
 
 
 class TestScaleInvariance:

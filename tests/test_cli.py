@@ -24,6 +24,70 @@ k,percent,occurrence_days,occurrence_years
 7,1.280e-10,7.814e+11,3.125e+9
 """
 
+# table --ks 0,3,8.5,9.5,25,1e6 --dpy 252 --digits 6 in the other three
+# formats: k = 0 and 3 on the exact path, 8.5 in the overlap, 9.5 on the
+# asymptotic path, and the far tail
+GOLDEN_TABLE_KS = "0,3,8.5,9.5,25,1e6"
+GOLDEN_TABLE = {
+    "text": """\
+k      percent                occurrence_days        occurrence_years
+0      5.00000e+1             2.00000e+0             7.93651e-3
+3      1.34990e-1             7.40797e+2             2.93967e+0
+8.5    9.47953e-16            1.05490e+17            4.18613e+14
+9.5    1.04945e-19            9.52879e+20            3.78126e+18
+25     3.05670e-136           3.27151e+137           1.29822e+135
+1e+06  9.44074e-217147240957  1.05924e+217147240958  4.20336e+217147240955
+""",
+    "md": """\
+| k | percent | occurrence_days | occurrence_years |
+| --- | --- | --- | --- |
+| 0 | 5.00000e+1 | 2.00000e+0 | 7.93651e-3 |
+| 3 | 1.34990e-1 | 7.40797e+2 | 2.93967e+0 |
+| 8.5 | 9.47953e-16 | 1.05490e+17 | 4.18613e+14 |
+| 9.5 | 1.04945e-19 | 9.52879e+20 | 3.78126e+18 |
+| 25 | 3.05670e-136 | 3.27151e+137 | 1.29822e+135 |
+| 1e+06 | 9.44074e-217147240957 | 1.05924e+217147240958 | 4.20336e+217147240955 |
+""",
+    "json": (
+        '{"days_per_year": 252, "rows": ['
+        '{"k": 0.0, "occurrence_days": {"exponent10": 0, "mantissa": 2.0}, '
+        '"occurrence_years": {"exponent10": -3, "mantissa": 7.936507936507936}, '
+        '"percent": {"exponent10": 1, "mantissa": 4.999999999999999}}, '
+        '{"k": 3.0, "occurrence_days": {"exponent10": 2, "mantissa": 7.407966946899169}, '
+        '"occurrence_years": {"exponent10": 0, "mantissa": 2.939669423372685}, '
+        '"percent": {"exponent10": -1, "mantissa": 1.3498980316300961}}, '
+        '{"k": 8.5, "occurrence_days": {"exponent10": 17, "mantissa": 1.0549040841727353}, '
+        '"occurrence_years": {"exponent10": 14, "mantissa": 4.186127318145769}, '
+        '"percent": {"exponent10": -16, "mantissa": 9.479534822203371}}, '
+        '{"k": 9.5, "occurrence_days": {"exponent10": 20, "mantissa": 9.528787112304421}, '
+        '"occurrence_years": {"exponent10": 18, "mantissa": 3.7812647271049245}, '
+        '"percent": {"exponent10": -19, "mantissa": 1.049451507536264}}, '
+        '{"k": 25.0, "occurrence_days": {"exponent10": 137, "mantissa": 3.2715054716156597}, '
+        '"occurrence_years": {"exponent10": 135, "mantissa": 1.2982164569903607}, '
+        '"percent": {"exponent10": -136, "mantissa": 3.0566967063825263}}, '
+        '{"k": 1000000.0, '
+        '"occurrence_days": {"exponent10": 217147240958, "mantissa": 1.059238838674002}, '
+        '"occurrence_years": {"exponent10": 217147240955, "mantissa": 4.203356170404541}, '
+        '"percent": {"exponent10": -217147240957, "mantissa": 9.440741440824059}}]}\n'
+    ),
+}
+
+# context 25 --baseline-years 1e5, every line; the particle ratios divide by
+# the built-in bounds 1e73 and 1e85
+GOLDEN_CONTEXT_25 = """\
+k: 25
+percent: 3.057e-136 %
+occurrence_years: 1.309e+135
+vs end of the last Ice Age (years): x1.309e+131 .. x1.309e+131
+vs emergence of Homo sapiens (years): x1.309e+129 .. x1.309e+129
+vs origin of multicellular life (years): x2.181e+126 .. x2.181e+126
+vs time since the Big Bang (years): x1.091e+125 .. x9.347e+124
+vs particles in the universe (count): x1.309e+62 .. x1.309e+50  [unit mismatch: years vs count]
+vs single lottery win odds (count): x3.272e+141 .. x3.272e+141  [unit mismatch: years vs count]
+lottery: between 21 and 22 consecutive wins
+order gap vs baseline: 130
+"""
+
 
 # The prob stderr line for every (k, mode) the mode accepts; y is k / sqrt(2).
 DIAGNOSTICS_GOLDEN = {
@@ -167,6 +231,11 @@ class TestTable:
         code, out, _ = run_cli(["table", "--ks", "3,4,5,6,7", "--format", "csv"])
         assert code == 0
         assert out == GOLDEN_TABLE_CSV
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_TABLE))
+    def test_golden_formats(self, fmt):
+        argv = ["table", "--ks", GOLDEN_TABLE_KS, "--dpy", "252", "--digits", "6", "--format", fmt]
+        assert run_cli(argv) == (0, GOLDEN_TABLE[fmt], "")
 
     def test_high_sigma_rows(self):
         code, out, _ = run_cli(["table", "--ks", "10,15,20,25", "--dpy", "250", "--format", "csv"])
@@ -346,6 +415,9 @@ class TestContext:
         assert "[unit mismatch: years vs count]" in out
         assert "lottery: between 21 and 22 consecutive wins" in out
         assert "order gap vs baseline: 130" in out
+
+    def test_golden_bytes(self):
+        assert run_cli(["context", "25", "--baseline-years", "1e5"]) == (0, GOLDEN_CONTEXT_25, "")
 
     def test_five_sigma_vs_ice_age(self):
         code, out, _ = run_cli(["context", "5"])

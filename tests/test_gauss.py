@@ -50,7 +50,7 @@ class TestExactPath:
     @pytest.mark.parametrize("k,expected", sorted(TAIL_CHECKPOINTS.items()))
     def test_oracle_checkpoints(self, k, expected):
         p = gauss_tail(k, mode="exact").probability.as_float()
-        assert p == pytest.approx(float(expected), rel=1e-12)
+        assert p == pytest.approx(float(expected), rel=gauss.EXACT_REL_TOL)
 
     def test_k0_is_exactly_half(self):
         assert gauss_tail(0.0, mode="exact").probability == from_real(0.5)
@@ -90,7 +90,7 @@ class TestAsymptoticPath:
     def test_relative_error_within_1e9(self, k):
         got = gauss_tail(k, mode="asymptotic").probability.log10_value
         dlog10 = abs(got - float(tail_log10_oracle(k)))
-        assert dlog10 * math.log(10.0) <= 1e-9
+        assert dlog10 * math.log(10.0) <= gauss.ASYMPTOTIC_REL_TOL
 
     @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
     def test_faithful_rounding_at_extreme_k(self, k):
@@ -289,7 +289,7 @@ class TestDispatch:
         for k in [9.0, 9.1, 9.2, 9.3, 9.4, 9.5]:
             le = gauss_tail(k, mode="exact").probability.log10_value
             la = gauss_tail(k, mode="asymptotic").probability.log10_value
-            assert abs(le - la) * math.log(10.0) <= 1e-9
+            assert abs(le - la) * math.log(10.0) <= gauss.OVERLAP_REL_TOL
 
 
 class TestResultInvariants:
@@ -416,7 +416,8 @@ class TestSigmaForPeriod:
         target = -(years.log10_value + math.log10(250))  # what the inverse solves for
         with mp.workdps(50):
             root = mp.findroot(lambda x: tail_log10_oracle(x) - target, mp.mpf(k)) if k else mp.mpf(0)
-            assert abs(mp.mpf(sigma_for_period(years, 250)) - root) <= 1e-9 + 1e-15 * abs(root)
+            abs_tol, rel_tol = gauss.INVERSE_TOL
+            assert abs(mp.mpf(sigma_for_period(years, 250)) - root) <= abs_tol + rel_tol * abs(root)
 
     # (highest log10 years, the most tail evaluations the inversion may make
     # up to there); the count falls as the three-term start nears the root:

@@ -10,7 +10,7 @@ from sigmatail import magnitude as mg
 from sigmatail.errors import DomainError, ParseError
 from sigmatail.gauss import occurrence_days, occurrence_years, streak_probability
 from sigmatail.magnitude import (
-    Magnitude, ONE, ZERO, format_sci, from_real, from_sci, parse, pow_int,
+    Magnitude, ONE, ZERO, format_sci, from_real, parse, pow_int,
 )
 from sigmatail.scales import compare_to_references, lottery_equivalent, order_gap
 
@@ -43,45 +43,6 @@ class TestFromReal:
     def test_int_beyond_float_range(self):
         with pytest.raises(DomainError, match="^value must be finite$"):
             from_real(10 ** 400)
-
-
-class TestFromSci:
-    def test_table_probability(self):
-        m = from_sci(3.057, -138)
-        assert m.log10_value == pytest.approx(math.log10(3.057) - 138, abs=1e-12)
-
-    def test_unit(self):
-        assert from_sci(1.0, 0) == ONE
-
-    def test_period(self):
-        m = from_sci(1.309, 135)
-        assert m.log10_value == pytest.approx(math.log10(1.309) + 135, abs=1e-12)
-
-    @pytest.mark.parametrize("mant", [0.0, 0.999, 10.0, -3.0, math.inf])
-    def test_mantissa_range(self, mant):
-        with pytest.raises(DomainError):
-            from_sci(mant, 0)
-
-    def test_exponent_cap(self):
-        with pytest.raises(DomainError):
-            from_sci(1.0, 10 ** 16)
-
-    @pytest.mark.parametrize("exponent", [2.5, 3.0, True, "3", None])
-    def test_exponent_must_be_int(self, exponent):
-        with pytest.raises(DomainError, match="^exponent must be an integer$"):
-            from_sci(1.0, exponent)
-
-    @pytest.mark.parametrize("mant", [True, False])
-    def test_bool_mantissa_rejected(self, mant):
-        with pytest.raises(DomainError, match="^mantissa must be a finite real$"):
-            from_sci(mant, 3)
-
-    def test_int_mantissa_beyond_float_range(self):
-        with pytest.raises(DomainError, match="^mantissa must be a finite real$"):
-            from_sci(10 ** 400, 3)
-
-    def test_int_mantissa_accepted(self):
-        assert from_sci(2, 3) == from_real(2000.0)
 
 
 class TestArithmetic:

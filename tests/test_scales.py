@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from sigmatail import gauss
 from sigmatail.errors import DomainError
-from sigmatail.magnitude import Magnitude, ONE, ZERO, from_real, from_sci, parse, pow_int
+from sigmatail.magnitude import Magnitude, ONE, ZERO, from_real, parse, pow_int
 from sigmatail.scales import (
     BUILTIN_SCALES, DEFAULT_LOTTERY, LotteryModel, ReferenceScale,
     compare_to_references, load_reference_scales, lottery_equivalent, order_gap,
@@ -117,7 +117,7 @@ class TestBuiltinScales:
         assert bang.low == from_real(1.2e10) and bang.high == from_real(1.4e10)
         particles = table["particles in the universe"]
         assert particles.kind == "count"
-        assert particles.low == from_sci(1.0, 73) and particles.high == from_sci(1.0, 85)
+        assert particles.low == Magnitude(73.0) and particles.high == Magnitude(85.0)
         lottery = table["single lottery win odds"]
         assert lottery.kind == "count" and lottery.low == from_real(4e-7)
         assert DEFAULT_LOTTERY.win_probability == from_real(4e-7)
