@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels, gauss
 from .binomial import binomial_tail_at_least
 from .errors import DomainError, finite_real
-from .magnitude import ONE, from_real, read_numbers, sci_json
+from .magnitude import ONE, Magnitude, from_real, read_numbers, sci_json
 
 MIN_FULL_SAMPLE = 30
 MIN_WINDOW = 20
@@ -496,10 +496,14 @@ def _round4(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# window is None for full-sample moments; flagged is a FlaggedDays; the p-value
-# is over n_scored days at p_model, the tail at threshold_k (twice it for "both")
-AuditReport = namedtuple("AuditReport", "n_days n_scored mean stdev window threshold_k side "
-                         "flagged p_model expected_count observed_count p_value_at_least_observed")
+# each field and the type build_report gives it, which report_json checks.  window is
+# None for full-sample moments; the p-value is over n_scored days at p_model, the tail
+# at threshold_k (twice it for "both")
+_REPORT_TYPES = {"n_days": int, "n_scored": int, "mean": float, "stdev": float,
+                 "window": (int, type(None)), "threshold_k": float, "side": str,
+                 "flagged": FlaggedDays, "p_model": Magnitude, "expected_count": float,
+                 "observed_count": int, "p_value_at_least_observed": Magnitude}
+AuditReport = namedtuple("AuditReport", _REPORT_TYPES)
 
 
 def build_report(series: Series, *, threshold_k: float, window: int | None = None,
@@ -548,7 +552,12 @@ def report_json(report: AuditReport) -> str:
     a mean, stdev or sigma score that is not finite is null, so the text is
     always JSON.  Each flagged day is ``{"date": "YYYY-MM-DD", "sigma_score":
     score}``, the score in json's float text, and the days are written as one
-    matrix of bytes, a row per day, and decoded once."""
+    matrix of bytes, a row per day, and decoded once.  A hand-built report
+    with a field of a type build_report never gives (a bool is no int, an
+    int no float) raises DomainError naming the field."""
+    for (name, kind), value in zip(_REPORT_TYPES.items(), report):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DomainError(f"AuditReport.{name} cannot be a {type(value).__name__}")
     text = json.dumps({
         **report._asdict(),
         "mean": _finite_or_null(report.mean),

@@ -2,10 +2,11 @@
 
 Subcommands wrap the library one-to-one; everything prints deterministic,
 locale-independent text.  Results go to stdout, diagnostics and errors to
-stderr.  Exit codes: 0 success, 2 usage error, 3 domain error; main alone
-decides the status, and a handler returns nothing.  A handler prints its
-first line only after every step that can fail, so a command that fails
-leaves stdout empty.
+stderr.  Exit codes: 0 success, 2 usage error, 3 domain error.  main alone
+decides the status and writes stdout: a handler returns its stdout as a list
+of lines, and main writes them in one write after the handler has returned,
+so a command that fails leaves stdout empty.  What a handler writes to stderr
+(prob's diagnostics line, audit's warnings) comes before its stdout.
 
 days_per_year defaults to 250 and may be overridden per command with --dpy.
 
@@ -17,10 +18,7 @@ goes to an argparse parser built from the same table: -h, abbreviations,
 ``--opt=value``, repeats, negative numbers, ``--`` and every usage error,
 so their text and exit code 2 are argparse's own.  argparse is imported
 and its parser built only then, once per process, so a well-formed command
-loads neither.  On a shared 2-vCPU VM with Python 3.11, a table read took
-a median 2.8 us against 30 us in argparse's parse_args, and a fresh process
-saved the 2.2 ms import and the 3-5 ms parser build (README, "Calling the
-CLI in-process").
+loads neither (README, "Calling the CLI in-process", has the timings).
 """
 
 import functools
@@ -50,23 +48,21 @@ def _fmt_k(k: float) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_prob(args, out, err):
+def _cmd_prob(args, err):
     r = gauss.gauss_tail(args.k, mode=args.mode, days_per_year=args.dpy)
-    d = args.digits
-    print(f"k: {_fmt_k(r.k)}", file=out)
-    print(f"probability: {format_sci(r.probability, d)}", file=out)
-    print(f"percent: {format_sci(r.percent, d)} %", file=out)
-    print(f"occurrence_days: {format_sci(r.occurrence_days, d)}", file=out)
-    print(f"occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
-    dg = r.diagnostics
-    print(
-        f"diagnostics: path={dg.path} y={r.k / gauss.SQRT2!r} terms_used={dg.terms_used} "
-        f"truncation_bound={dg.truncation_bound:.3e}",
-        file=err,
-    )
+    d, dg = args.digits, r.diagnostics
+    print(f"diagnostics: path={dg.path} y={r.k / gauss.SQRT2!r} terms_used={dg.terms_used} "
+          f"truncation_bound={dg.truncation_bound:.3e}", file=err)
+    return [
+        f"k: {_fmt_k(r.k)}",
+        f"probability: {format_sci(r.probability, d)}",
+        f"percent: {format_sci(r.percent, d)} %",
+        f"occurrence_days: {format_sci(r.occurrence_days, d)}",
+        f"occurrence_years: {format_sci(r.occurrence_years, d)}",
+    ]
 
 
-def _cmd_table(args, out, err):
+def _cmd_table(args, err):
     results = [gauss.gauss_tail(k, days_per_year=args.dpy) for k in _parse_ks(args.ks)]
     header = ("k", "percent", "occurrence_days", "occurrence_years")  # TailResult attributes
     cells = [[getattr(r, name) for name in header] for r in results]
@@ -74,61 +70,52 @@ def _cmd_table(args, out, err):
         import json
 
         rows = [dict(zip(header, (k, *map(sci_json, vs)))) for k, *vs in cells]
-        print(json.dumps({"days_per_year": args.dpy, "rows": rows}, sort_keys=True), file=out)
-        return
+        return [json.dumps({"days_per_year": args.dpy, "rows": rows}, sort_keys=True)]
     rows = [header, *([_fmt_k(k), *(format_sci(v, args.digits) for v in vs)] for k, *vs in cells)]
     if args.format == "csv":
-        lines = [",".join(row) for row in rows]
-    elif args.format == "md":
-        lines = [f"| {' | '.join(row)} |" for row in (header, ["---"] * len(header), *rows[1:])]
-    else:
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    print(*lines, sep="\n", file=out)
+        return [",".join(row) for row in rows]
+    if args.format == "md":
+        return [f"| {' | '.join(row)} |" for row in (header, ["---"] * len(header), *rows[1:])]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def _cmd_occurrence(args, out, err):
+def _cmd_occurrence(args, err):
     if (args.k is None) == (args.p is None):
         raise DomainError("give exactly one of K or --p")
     d = args.digits
-    if args.k is not None:
-        p = gauss.gauss_tail(args.k, days_per_year=args.dpy).probability
-        print(f"probability: {format_sci(p, d)}", file=out)
+    if args.k is None:
+        p, lines = parse(args.p), []
     else:
-        p = parse(args.p)
-    print(f"occurrence_days: {format_sci(gauss.occurrence_days(p), d)}", file=out)
-    print(f"occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}", file=out)
+        p = gauss.gauss_tail(args.k, days_per_year=args.dpy).probability
+        lines = [f"probability: {format_sci(p, d)}"]
+    return [*lines, f"occurrence_days: {format_sci(gauss.occurrence_days(p), d)}",
+            f"occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}"]
 
 
-def _cmd_streak(args, out, err):
-    d = args.digits
-    r = gauss.gauss_tail(args.k)
-    streak = gauss.streak_probability(r.probability, args.days)
-    percent_power = pow_int(r.percent, args.days)
-    print(f"probability: {format_sci(streak, d)}", file=out)
-    print(
-        f"note: percent-power variant gives {format_sci(percent_power, d)} "
+def _cmd_streak(args, err):
+    d, r = args.digits, gauss.gauss_tail(args.k)
+    return [
+        f"probability: {format_sci(gauss.streak_probability(r.probability, args.days), d)}",
+        f"note: percent-power variant gives {format_sci(pow_int(r.percent, args.days), d)} "
         "(raises the percent form to the power instead of the probability)",
-        file=out,
-    )
+    ]
 
 
-def _cmd_lottery(args, out, err):
+def _cmd_lottery(args, err):
     from . import scales  # only lottery, context and ttail use it
 
     p = parse(args.p)
     model = scales.LotteryModel(parse(args.win_prob)) if args.win_prob else scales.DEFAULT_LOTTERY
     n_low, n_high = scales.lottery_equivalent(p, model)
-    print(f"between {n_low} and {n_high} consecutive wins", file=out)
+    return [f"between {n_low} and {n_high} consecutive wins"]
 
 
-def _cmd_invert(args, out, err):
-    years = parse(args.years)
-    k = gauss.sigma_for_period(years, args.dpy)
-    print(f"k ≈ {k:.4f}", file=out)
+def _cmd_invert(args, err):
+    return [f"k ≈ {gauss.sigma_for_period(parse(args.years), args.dpy):.4f}"]
 
 
-def _cmd_context(args, out, err):
+def _cmd_context(args, err):
     from . import scales
 
     d = args.digits
@@ -137,38 +124,32 @@ def _cmd_context(args, out, err):
     baseline = None if args.baseline_years is None else parse(args.baseline_years)
     if baseline is not None and baseline.is_zero:
         raise DomainError("--baseline-years must be positive")
-    comps = scales.compare_to_references(r.occurrence_years, refs)
-    n_low, n_high = scales.lottery_equivalent(r.probability)
-    gap = None if baseline is None else scales.order_gap(r.occurrence_years, baseline)
-    print(f"k: {_fmt_k(r.k)}", file=out)
-    print(f"percent: {format_sci(r.percent, d)} %", file=out)
-    print(f"occurrence_years: {format_sci(r.occurrence_years, d)}", file=out)
-    for comp in comps:
+    lines = [f"k: {_fmt_k(r.k)}", f"percent: {format_sci(r.percent, d)} %",
+             f"occurrence_years: {format_sci(r.occurrence_years, d)}"]
+    for comp in scales.compare_to_references(r.occurrence_years, refs):
         note = "  [unit mismatch: years vs count]" if comp.kind == "count" else ""
-        print(
-            f"vs {comp.name} ({comp.kind}): x{format_sci(comp.ratio_low, d)}"
-            f" .. x{format_sci(comp.ratio_high, d)}{note}",
-            file=out,
-        )
-    print(f"lottery: between {n_low} and {n_high} consecutive wins", file=out)
-    if gap is not None:
-        print(f"order gap vs baseline: {gap}", file=out)
+        lines.append(f"vs {comp.name} ({comp.kind}): x{format_sci(comp.ratio_low, d)}"
+                     f" .. x{format_sci(comp.ratio_high, d)}{note}")
+    n_low, n_high = scales.lottery_equivalent(r.probability)
+    lines.append(f"lottery: between {n_low} and {n_high} consecutive wins")
+    if baseline is not None:
+        lines.append(f"order gap vs baseline: {scales.order_gap(r.occurrence_years, baseline)}")
+    return lines
 
 
-def _cmd_ttail(args, out, err):
+def _cmd_ttail(args, err):
     from . import scales, studentt  # studentt: only this command uses it
 
-    d = args.digits
     spec = studentt.TDistSpec(nu=args.nu, standardized=args.standardized)
     tail = studentt.student_t_tail(args.k, spec)
-    gap = (scales.order_gap(tail, gauss.gauss_tail(args.k).probability)
-           if args.k >= studentt.GAP_MIN_K else None)
-    print(f"t_tail: {format_sci(tail, d)}", file=out)
-    if gap is not None:
-        print(f"gap_vs_gaussian: {gap}", file=out)
+    lines = [f"t_tail: {format_sci(tail, args.digits)}"]
+    if args.k >= studentt.GAP_MIN_K:
+        gap = scales.order_gap(tail, gauss.gauss_tail(args.k).probability)
+        lines.append(f"gap_vs_gaussian: {gap}")
+    return lines
 
 
-def _cmd_audit(args, out, err):
+def _cmd_audit(args, err):
     from . import audit as audit_mod  # loads numpy: only this command pays for it
 
     series = audit_mod.load_series(args.file)
@@ -178,35 +159,30 @@ def _cmd_audit(args, out, err):
                                         window=args.window, side=args.side)
     for warning in caught:
         print(f"warning: {warning.message}", file=err)
-    d = args.digits
     if args.format == "json":
-        print(audit_mod.report_json(report), file=out)
-        return
-    print(f"source: {series.source_label}", file=out)
-    print(f"n_days: {report.n_days}", file=out)
-    print(f"n_scored: {report.n_scored}", file=out)
-    print(f"window: {report.window if report.window is not None else 'full'}", file=out)
-    print(f"mean: {report.mean!r}", file=out)
-    print(f"stdev: {report.stdev!r}", file=out)
-    print(f"threshold_k: {_fmt_k(report.threshold_k)}", file=out)
-    print(f"side: {report.side}", file=out)
+        return [audit_mod.report_json(report)]
+    d, flagged = args.digits, report.flagged
     p = report.p_model  # for side "both", twice the tail at k
-    print(f"model_tail_percent: {format_sci(p * gauss._HUNDRED, d)} %", file=out)
-    print(f"model_occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}", file=out)
-    print(f"observed_count: {report.observed_count}", file=out)
-    print(f"expected_count: {report.expected_count:.6g}", file=out)
-    print(
+    return [
+        f"source: {series.source_label}",
+        f"n_days: {report.n_days}",
+        f"n_scored: {report.n_scored}",
+        f"window: {report.window if report.window is not None else 'full'}",
+        f"mean: {report.mean!r}",
+        f"stdev: {report.stdev!r}",
+        f"threshold_k: {_fmt_k(report.threshold_k)}",
+        f"side: {report.side}",
+        f"model_tail_percent: {format_sci(p * gauss._HUNDRED, d)} %",
+        f"model_occurrence_years: {format_sci(gauss.occurrence_years(p, args.dpy), d)}",
+        f"observed_count: {report.observed_count}",
+        f"expected_count: {report.expected_count:.6g}",
         f"p_value_at_least_observed: {format_sci(report.p_value_at_least_observed, d)}",
-        file=out,
-    )
-    print(f"flagged ({min(len(report.flagged), 20)} of {len(report.flagged)} shown):", file=out)
-    for day, score in zip(report.flagged.dates[:20].tolist(), report.flagged.scores[:20].tolist()):
-        print(f"  {day.isoformat()}  {score:+.4f}", file=out)
-    print(
+        f"flagged ({min(len(flagged), 20)} of {len(flagged)} shown):",
+        *(f"  {day.isoformat()}  {score:+.4f}"
+          for day, score in zip(flagged.dates[:20].tolist(), flagged.scores[:20].tolist())),
         "note: expected counts and p-values assume independent days "
         "(no volatility clustering)",
-        file=out,
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +315,12 @@ def main(argv=None, out=None, err=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read_argv(argv) or build_parser().parse_args(argv)
-        digits = getattr(args, "digits", 4)
-        if not 1 <= digits <= 15:
+        if not 1 <= getattr(args, "digits", 4) <= 15:
             raise DomainError("--digits must be in [1, 15]")
-        dpy = getattr(args, "dpy", None)
-        if dpy is not None and dpy < 1:
+        if getattr(args, "dpy", 1) < 1:  # streak, lottery and ttail take no --dpy
             raise DomainError("--dpy must be >= 1")
-        globals()["_cmd_" + args.command](args, out, err)
+        lines = globals()["_cmd_" + args.command](args, err)
+        out.write("\n".join([*lines, ""]))  # one copy: audit's JSON line can be megabytes
     except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 3

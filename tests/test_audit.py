@@ -942,33 +942,77 @@ class TestKernels:
             assert stds[t] == pytest.approx(x[t - w:t].std(ddof=1), abs=1e-12)
 
 
+def _audit_parts(values, window):
+    """The moments, two-sided flagged days and report of a series, with
+    warnings raised as errors."""
+    series = make_series(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = estimate_moments(series, window)
+        return (moments, flag_events(series, moments, 2.0, "both"),
+                build_report(series, threshold_k=2.0, window=window, side="both"))
+
+
+def _assert_scaled(want, got, k):
+    """Every moment of got is that of want times 2**k, exactly, and the
+    scores, flagged days and report are the same."""
+    (want_m, want_days, want_report), (got_m, got_days, got_report) = want, got
+    for column in ("mean", "stdev", "sample_mean", "sample_stdev"):
+        assert np.array_equal(getattr(got_m, column), getattr(want_m, column) * 2.0 ** k,
+                              equal_nan=True), (column, k)
+    assert np.array_equal(got_m.scored, want_m.scored), k
+    assert np.array_equal(got_days.dates, want_days.dates), k
+    assert np.array_equal(got_days.scores, want_days.scores), k
+    for field in ("observed_count", "expected_count", "p_value_at_least_observed"):
+        assert getattr(got_report, field) == getattr(want_report, field), (field, k)
+
+
+def _normal_scales(x, stdev):
+    """Every k for which each nonzero value x * 2**k and each finite nonzero
+    stdev * 2**k is a normal double.  A subnormal stdev holds fewer than 53
+    bits, so the scores it divides cannot keep theirs (left open)."""
+    v = np.concatenate([x, stdev])
+    exponents = np.frexp(v[np.isfinite(v) & (v != 0)])[1]  # |v| in [2**(e - 1), 2**e)
+    return range(-1021 - int(exponents.min()), 1024 - int(exponents.max()) + 1)
+
+
 class TestScaleInvariance:
-    """x and x * 2**k, k = -565 and 531 (values near 1e-170 and 1e160, whose
-    squares under- and overflow) and 1022 (max |x| 2**k within a factor 2 of
-    the largest double, where sums of the values overflow): every moment
-    scales by 2**k exactly, and the scores, flagged days and report are the
-    same."""
+    """x and x * 2**k for every k that keeps each value a normal double,
+    among them k = -565 and 531 (values near 1e-170 and 1e160, whose squares
+    under- and overflow) and 1022 (max |x| 2**k within a factor 2 of the
+    largest double, where sums of the values overflow): every moment scales
+    by 2**k exactly, and the scores, flagged days and report are the same."""
 
     @pytest.mark.parametrize("window", [None, 50])
     @pytest.mark.parametrize("k", [-565, 531, 1022])
     def test_moments_scale_exactly(self, window, k):
         x = np.random.default_rng(3).standard_normal(300)
-        series, scaled = make_series(x), make_series(x * 2.0 ** k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want, got = estimate_moments(series, window), estimate_moments(scaled, window)
-            want_days, got_days = (flag_events(s, m, 2.0, "both")
-                                   for s, m in ((series, want), (scaled, got)))
-            want_report, got_report = (build_report(s, threshold_k=2.0, window=window,
-                                                    side="both") for s in (series, scaled))
-        for column in ("mean", "stdev", "sample_mean", "sample_stdev"):
-            assert np.array_equal(getattr(got, column), getattr(want, column) * 2.0 ** k,
-                                  equal_nan=True), column
-        assert np.array_equal(got.scored, want.scored) and want.scored.sum() == 300 - (window or 0)
-        assert np.array_equal(got_days.dates, want_days.dates) and len(want_days) > 5
-        assert np.array_equal(got_days.scores, want_days.scores)
-        for field in ("observed_count", "expected_count", "p_value_at_least_observed"):
-            assert getattr(got_report, field) == getattr(want_report, field), field
+        want = _audit_parts(x, window)
+        _assert_scaled(want, _audit_parts(x * 2.0 ** k, window), k)
+        assert want[0].scored.sum() == 300 - (window or 0) and len(want[1]) > 5
+
+    @pytest.mark.parametrize("window", [None, 50])
+    def test_every_normal_scale(self, window):
+        x = np.random.default_rng(3).standard_normal(300)
+        want = _audit_parts(x, window)
+        scales = _normal_scales(x, want[0].stdev)
+        assert (scales.start, scales.stop) == (-1014, 1023)
+        for k in scales:
+            _assert_scaled(want, _audit_parts(x * 2.0 ** k, window), k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(60, 200),
+           spread=st.floats(0, 40), offset=st.sampled_from([0.0, 1.0, 1e3, 1e8, -1e12, 2.0 ** 40]),
+           window=st.sampled_from([None, 20, 50]))
+    def test_drawn_series_scale_exactly(self, data, seed, n, spread, offset, window):
+        # |noise| spans up to 2**40; an offset far above it leaves a stdev
+        # many orders below the mean
+        rng = np.random.default_rng(seed)
+        x = offset + rng.standard_normal(n) * np.exp2(rng.uniform(0, spread, n))
+        want = _audit_parts(x, window)
+        scales = _normal_scales(x, want[0].stdev)
+        k = data.draw(st.integers(scales.start, scales.stop - 1), label="k")
+        _assert_scaled(want, _audit_parts(x * 2.0 ** k, window), k)
 
     @pytest.mark.parametrize("window", [None, 50])
     def test_subnormal_values(self, window):
@@ -1400,6 +1444,36 @@ class TestReportJson:
         vals = np.array([1.0, -1.0] * 10 + [-1e-7] + [0.0] * 30)
         flagged = self._check(make_series(vals), 20, 1e-9, "loss")
         assert len(flagged) == 1 and math.copysign(1.0, flagged[0]["sigma_score"]) == -1.0
+
+
+class TestHandBuiltReport:
+    """A report a library caller builds by hand is checked by report_json,
+    its one writer: a field of a type build_report never gives raises
+    DomainError naming it, not json's or numpy's errors."""
+
+    FIELDS = dict(n_days=1, n_scored=1, mean=0.0, stdev=1.0, window=None, threshold_k=2.0,
+                  side="loss", flagged=FlaggedDays(np.array(["2007-08-09"], "datetime64[D]"),
+                                                   [2.5]),
+                  p_model=ONE, expected_count=1.0, observed_count=1, p_value_at_least_observed=ONE)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_days", np.int64(1)), ("n_scored", 1.0), ("observed_count", True),
+        ("window", np.int64(50)), ("window", False), ("mean", "0"), ("stdev", None),
+        ("threshold_k", np.float32(2.0)), ("side", None), ("expected_count", 1),
+        ("p_model", 0.5), ("p_value_at_least_observed", 1.0),
+        ("flagged", [{"date": "2007-08-09", "sigma_score": 2.5}]),
+    ], ids=["numpy n_days", "float n_scored", "bool observed_count", "numpy window",
+            "bool window", "str mean", "None stdev", "float32 threshold_k", "None side",
+            "int expected_count", "float p_model", "float p-value", "list flagged"])
+    def test_field_of_wrong_type(self, field, value):
+        report = AuditReport(**{**self.FIELDS, field: value})
+        with pytest.raises(DomainError, match=f"^AuditReport.{field} cannot be a "):
+            report_json(report)
+
+    @pytest.mark.parametrize("window", [None, 50])
+    def test_valid_report_written(self, window):
+        text = report_json(AuditReport(**{**self.FIELDS, "window": window}))
+        assert json.loads(text)["flagged"] == [{"date": "2007-08-09", "sigma_score": 2.5}]
 
 
 _SCORE_EDGES = [0.0, -0.0, 1e-4, -1e-4, 0.5, 1.0, -1.0, 10.25, -100.001, 1234.5,

@@ -149,6 +149,23 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class CountingOut(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run_counted(argv):
+    """Exit code, stdout text and the number of writes to stdout."""
+    out = CountingOut()
+    code = cli.main(argv, out=out, err=io.StringIO())
+    return code, out.getvalue(), out.writes
+
+
 class TestProb:
     def test_two_sigma(self):
         code, out, err = run_cli(["prob", "2"])
@@ -224,6 +241,18 @@ class TestProb:
         code, _, err = run_cli(["prob", "--mode", mode, "--", k])
         assert code == 0
         assert err == f"diagnostics: {DIAGNOSTICS_GOLDEN[k, mode]}\n"
+
+    def test_golden_bytes(self):
+        assert run_cli(["prob", "25", "--mode", "asymptotic", "--digits", "15"]) == (
+            0,
+            "k: 25\n"
+            "probability: 3.05669670638253e-138\n"
+            "percent: 3.05669670638253e-136 %\n"
+            "occurrence_days: 3.27150547161566e+137\n"
+            "occurrence_years: 1.30860218864626e+135\n",
+            "diagnostics: path=asymptotic y=17.677669529663685 terms_used=10 "
+            "truncation_bound=7.210e-20\n",
+        )
 
 
 class TestTable:
@@ -302,6 +331,15 @@ class TestOccurrence:
         assert "probability: 6.221e-16" in out
         assert "occurrence_years: 6.430e+12" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["occurrence", "8"],
+         "probability: 6.221e-16\noccurrence_days: 1.607e+15\noccurrence_years: 6.430e+12\n"),
+        (["occurrence", "--p", "0.02275"],
+         "occurrence_days: 4.396e+1\noccurrence_years: 1.758e-1\n"),
+    ], ids=["k", "p"])
+    def test_golden_bytes(self, argv, expected):
+        assert run_cli(argv) == (0, expected, "")
+
     def test_requires_exactly_one(self):
         assert run_cli(["occurrence"])[0] == 3
         assert run_cli(["occurrence", "2", "--p", "0.5"])[0] == 3
@@ -333,6 +371,15 @@ class TestStreak:
         code, out, _ = run_cli(["streak", "25", "--days", "1"])
         assert code == 0
         assert "probability: 3.057e-138" in out
+
+    def test_golden_bytes(self):
+        assert run_cli(["streak", "25", "--days", "2"]) == (
+            0,
+            "probability: 9.343e-276\n"
+            "note: percent-power variant gives 9.343e-272 "
+            "(raises the percent form to the power instead of the probability)\n",
+            "",
+        )
 
     def test_invalid_days(self):
         assert run_cli(["streak", "25", "--days", "0"])[0] == 3
@@ -519,6 +566,9 @@ class TestTtail:
     def test_golden_bytes(self):
         assert run_cli(["ttail", "25", "--nu", "3", "--standardized"]) == (
             0, "t_tail: 1.356e-5\ngap_vs_gaussian: 132\n", "")
+
+    def test_golden_bytes_no_gap_line(self):
+        assert run_cli(["ttail", "2", "--nu", "3"]) == (0, "t_tail: 6.966e-2\n", "")
 
     def test_one_t_tail_per_call(self, monkeypatch):
         from sigmatail import studentt
@@ -712,9 +762,23 @@ DPY_PAST_FLOAT = str(10 ** 400)
 
 
 class TestFailureLeavesStdoutEmpty:
-    """A command either succeeds or prints nothing to stdout: each handler
-    computes before it prints, and --dpy is checked once, so an integer past
-    the float range is a valid --dpy."""
+    """A command either succeeds or prints nothing to stdout: main writes a
+    handler's lines in one write after it returns, and --dpy is checked once,
+    so an integer past the float range is a valid --dpy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["prob", "2"], ["table", "--ks", "3,4"], ["occurrence", "8"],
+        ["streak", "25", "--days", "2"], ["lottery", "--p", "1e-30"],
+        ["invert", "--years", "1e6"], ["context", "25", "--baseline-years", "1e5"],
+        ["ttail", "25", "--nu", "3"], ["audit", "<series>", "--window", "20"],
+    ], ids=lambda argv: argv[0])
+    def test_success_writes_stdout_once(self, tmp_path, argv):
+        series = tmp_path / "series.csv"
+        _write_fixture(series, np.random.default_rng(3).standard_normal(40))
+        argv = [str(series) if a == "<series>" else a for a in argv]
+        code, out, writes = run_counted(argv)
+        assert code == 0 and out.endswith("\n")
+        assert writes == 1
 
     @pytest.mark.parametrize("argv, line", [
         (["prob", "2"], "occurrence_years: 4.396e-399"),
@@ -772,9 +836,10 @@ class TestFailureLeavesStdoutEmpty:
         codes = {0: 0, 3: 0}
         for _ in range(3000):
             argv = argvs[rng.choice(list(argvs))]()
-            code, out, _ = run_cli(argv)
+            code, out, writes = run_counted(argv)
             assert code in codes, argv
             assert code == 0 or out == "", argv
+            assert writes == (code == 0), argv
             codes[code] += 1
         assert min(codes.values()) > 300  # both outcomes are well sampled
 
@@ -812,7 +877,7 @@ class TestParserReuse:
     def test_handler_looked_up_at_call_time(self, monkeypatch):
         assert run_cli(["prob", "2"])[0] == 0
         calls = []
-        monkeypatch.setattr(cli, "_cmd_prob", lambda args, out, err: calls.append(args.k))
+        monkeypatch.setattr(cli, "_cmd_prob", lambda args, err: calls.append(args.k) or [])
         assert run_cli(["prob", "2.5"]) == (0, "", "")
         assert calls == [2.5]
 
